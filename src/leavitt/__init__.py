@@ -1,124 +1,11 @@
 """Exact computation of the center of the Leavitt path algebra of a finite graph."""
 
-from .graph import (
-    Graph,
-    Path,
-    Cycle,
-    Specialization,
-    GraphError,
-    GraphParseError,
-    GraphSyntaxError,
-    DuplicateIdError,
-    UnknownVertexError,
-    UnknownEdgeError,
-    NotACycleError,
-    CycleCapExceeded,
-    parse_graph,
-    descendants,
-    simple_cycles,
-    cycle_exits,
-    is_ne_cycle,
-    canonical_specialization,
-)
-from .hereditary import (
-    NotHereditaryError,
-    NotFinitaryError,
-    FiniteArrivals,
-    InfiniteArrivals,
-    is_hereditary,
-    perp,
-    is_finitary,
-    arrival_paths,
-    points_to,
-    minimal_hereditary_sets,
-    equivalence_classes,
-    class_support,
-    annihilator_boolean_algebra,
-    finitary_boolean_subalgebra,
-    ClassSummand,
-    CenterReport,
-    center_structure,
-)
-from .algebra import (
-    Rationals,
-    PrimeField,
-    FpScalar,
-    Monomial,
-    Element,
-    LeavittAlgebra,
-    AlgebraMismatchError,
-    ElementSyntaxError,
-)
-from .center import (
-    HasExitError,
-    idempotent,
-    cycle_generator,
-    embed,
-    CentralBasis,
-    center_basis,
-    center_dimension_predicted,
-    oracle_bound,
-    brute_force_center,
-    span_dimension,
-    spans_equal,
-)
+from . import algebra, center, graph, hereditary
+from .graph import *  # noqa: F401,F403
+from .hereditary import *  # noqa: F401,F403
+from .algebra import *  # noqa: F401,F403
+from .center import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "Path",
-    "Cycle",
-    "Specialization",
-    "GraphError",
-    "GraphParseError",
-    "GraphSyntaxError",
-    "DuplicateIdError",
-    "UnknownVertexError",
-    "UnknownEdgeError",
-    "NotACycleError",
-    "CycleCapExceeded",
-    "parse_graph",
-    "descendants",
-    "simple_cycles",
-    "cycle_exits",
-    "is_ne_cycle",
-    "canonical_specialization",
-    "NotHereditaryError",
-    "NotFinitaryError",
-    "FiniteArrivals",
-    "InfiniteArrivals",
-    "is_hereditary",
-    "perp",
-    "is_finitary",
-    "arrival_paths",
-    "points_to",
-    "minimal_hereditary_sets",
-    "equivalence_classes",
-    "class_support",
-    "annihilator_boolean_algebra",
-    "finitary_boolean_subalgebra",
-    "ClassSummand",
-    "CenterReport",
-    "center_structure",
-    "Rationals",
-    "PrimeField",
-    "FpScalar",
-    "Monomial",
-    "Element",
-    "LeavittAlgebra",
-    "AlgebraMismatchError",
-    "ElementSyntaxError",
-    "HasExitError",
-    "idempotent",
-    "cycle_generator",
-    "embed",
-    "CentralBasis",
-    "center_basis",
-    "center_dimension_predicted",
-    "oracle_bound",
-    "brute_force_center",
-    "span_dimension",
-    "spans_equal",
-    "__version__",
-]
+__all__ = [*graph.__all__, *hereditary.__all__, *algebra.__all__, *center.__all__, "__version__"]

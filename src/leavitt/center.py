@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .graph import Cycle, Graph, Path, cycle_exits
 from .hereditary import (
-    CenterReport,
     FiniteArrivals,
     InfiniteArrivals,
     NotFinitaryError,
@@ -41,12 +40,18 @@ class HasExitError(ValueError):
     """The cycle has an exit, so its rotation sums are not central."""
 
 
+def _finite_arrivals(graph: Graph, ws) -> FiniteArrivals:
+    """Arrival paths into ``ws``; NotFinitaryError when there are infinitely many."""
+    arr = arrival_paths(graph, ws)
+    if isinstance(arr, InfiniteArrivals):
+        raise NotFinitaryError(frozenset(ws), arr.witness, arr.connector)
+    return arr
+
+
 def idempotent(algebra: LeavittAlgebra, ws) -> Element:
     """Central idempotent of a finitary annihilator subset: sum of p p^*
     over all arrival paths p into the subset."""
-    arr = arrival_paths(algebra.graph, ws)
-    if isinstance(arr, InfiniteArrivals):
-        raise NotFinitaryError(frozenset(ws), arr.witness, arr.connector)
+    arr = _finite_arrivals(algebra.graph, ws)
     one = algebra.field.one
     return algebra.element((Monomial(p, p), one) for p in arr.paths)
 
@@ -83,9 +88,7 @@ def embed(algebra: LeavittAlgebra, ws, a: Element) -> Element:
     if a.algebra != algebra:
         raise ValueError("element belongs to a different algebra")
     g = algebra.graph
-    arr = arrival_paths(g, ws)
-    if isinstance(arr, InfiniteArrivals):
-        raise NotFinitaryError(frozenset(ws), arr.witness, arr.connector)
+    arr = _finite_arrivals(g, ws)
     inside = frozenset(ws)
     terms = []
     for m, c in a.terms():
@@ -158,12 +161,6 @@ def center_dimension_predicted(graph: Graph, d: int) -> int:
     )
 
 
-def _arrival_span(graph: Graph, ws) -> int:
-    arr = arrival_paths(graph, ws)
-    assert isinstance(arr, FiniteArrivals)
-    return arr.max_length()
-
-
 def oracle_bound(graph: Graph, d: int) -> int:
     """Monomial size cap that provably captures the whole degree-d center.
 
@@ -175,9 +172,9 @@ def oracle_bound(graph: Graph, d: int) -> int:
     report = center_structure(graph)
     base = 0
     for s in report.summands:
-        base = max(base, _arrival_span(graph, s.support))
+        base = max(base, _finite_arrivals(graph, s.support).max_length())
         if s.cycle is not None:
-            base = max(base, _arrival_span(graph, s.cycle.vertex_set))
+            base = max(base, _finite_arrivals(graph, s.cycle.vertex_set).max_length())
     return 2 * base + abs(d) + 2
 
 

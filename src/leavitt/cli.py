@@ -4,7 +4,7 @@ Four subcommands over a graph file: ``analyze`` (structure of the center),
 ``center`` (explicit basis of one graded piece), ``verify`` (brute-force
 cross-check of the constructed center), ``idempotents`` (the Boolean algebra
 of central idempotents).  Output is plain text, or a stable key/value tree
-with ``--json``.  Exit codes: 0 success, 1 failed verification, 2 bad input.
+with ``--json``.  Exit codes: 0 success, 1 failed check, 2 bad input.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ def _load_graph(path: str) -> Graph:
             text = fh.read()
     except OSError as exc:
         raise GraphParseError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{path} is not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
     g = parse_graph(text)
     if not g.vertices:
         raise GraphParseError("graph has no vertices")
@@ -169,20 +171,21 @@ def _cmd_center(args, g: Graph) -> int:
     algebra = LeavittAlgebra(g, field=args.field)
     basis = center_basis(algebra, args.degree)
     predicted = center_dimension_predicted(g, args.degree)
+    texts = [str(el) for el in basis.elements]
     payload = {
         "field": args.field.name,
         "degree": args.degree,
         "predicted_dimension": predicted,
         "basis": [
-            {"element": str(el), "provenance": why}
-            for el, why in zip(basis.elements, basis.provenance)
+            {"element": text, "provenance": why}
+            for text, why in zip(texts, basis.provenance)
         ],
     }
     lines = [_graph_line(g)]
     lines.append(f"degree {args.degree} basis (predicted dimension {predicted}):")
-    if basis.elements:
-        for el, why in zip(basis.elements, basis.provenance):
-            lines.append(f"  {el}  ({why})")
+    if texts:
+        for text, why in zip(texts, basis.provenance):
+            lines.append(f"  {text}  ({why})")
     else:
         lines.append("  (none)")
     _emit(args, _report("center", g, payload), lines)
@@ -233,45 +236,50 @@ def _cmd_verify(args, g: Graph) -> int:
     return 0 if all_ok else 1
 
 
+def _boolean_law_failure(g: Graph, one, members: dict, texts: dict) -> str | None:
+    """The first Boolean-algebra law the idempotents break, or None."""
+    for w1 in members:
+        for w2 in members:
+            meet = w1 & w2
+            if meet not in members:
+                return f"family not closed under intersection at {_set_str(g, meet)}"
+            if members[w1] * members[w2] != members[meet]:
+                return f"product law fails for {_set_str(g, w1)} and {_set_str(g, w2)}"
+    for w in members:
+        comp = perp(g, w)
+        if comp not in members:
+            return f"complement {_set_str(g, comp)} escapes the family"
+        if members[comp] != one - members[w]:
+            return f"complement law fails for {_set_str(g, w)}"
+    if len(set(texts.values())) != len(members):
+        return "idempotent map is not injective"
+    return None
+
+
 def _cmd_idempotents(args, g: Graph) -> int:
     algebra = LeavittAlgebra(g, field=args.field)
     family = finitary_boolean_subalgebra(g)
     members = {w: idempotent(algebra, w) for w in family}
-    family_set = set(family)
-    one = algebra.one()
+    texts = {w: str(members[w]) for w in family}
 
     # Boolean laws must hold before anything is printed
-    for w1 in family:
-        for w2 in family:
-            meet = w1 & w2
-            if meet not in family_set:
-                raise RuntimeError(f"family not closed under intersection at {_set_str(g, meet)}")
-            if members[w1] * members[w2] != members[meet]:
-                raise RuntimeError(
-                    f"product law fails for {_set_str(g, w1)} and {_set_str(g, w2)}"
-                )
-    for w in family:
-        comp = perp(g, w)
-        if comp not in family_set:
-            raise RuntimeError(f"complement {_set_str(g, comp)} escapes the family")
-        if members[comp] != one - members[w]:
-            raise RuntimeError(f"complement law fails for {_set_str(g, w)}")
-    texts = [str(members[w]) for w in family]
-    if len(set(texts)) != len(family):
-        raise RuntimeError("idempotent map is not injective")
+    failure = _boolean_law_failure(g, algebra.one(), members, texts)
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
 
     payload = {
         "field": args.field.name,
         "count": len(family),
         "subsets": [
-            {"vertices": sorted(w, key=g.vertex_index), "element": str(members[w])}
+            {"vertices": sorted(w, key=g.vertex_index), "element": texts[w]}
             for w in family
         ],
     }
     lines = [_graph_line(g)]
     lines.append(f"finitary annihilator subsets: {len(family)}")
     for w in family:
-        lines.append(f"  {_set_str(g, w)} -> {members[w]}")
+        lines.append(f"  {_set_str(g, w)} -> {texts[w]}")
     _emit(args, _report("idempotents", g, payload), lines)
     return 0
 

@@ -17,8 +17,6 @@ __all__ = [
     "Cycle",
     "Specialization",
     "parse_graph",
-    "descendants",
-    "simple_cycles",
     "cycle_exits",
     "is_ne_cycle",
     "canonical_specialization",
@@ -29,7 +27,6 @@ __all__ = [
     "UnknownVertexError",
     "UnknownEdgeError",
     "NotACycleError",
-    "CycleCapExceeded",
 ]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -65,12 +62,6 @@ class UnknownEdgeError(GraphParseError):
 
 class NotACycleError(GraphError):
     pass
-
-
-class CycleCapExceeded(GraphError):
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"cycle enumeration exceeded the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +142,9 @@ class Graph:
             inc[t].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
+        self._edge_ids = tuple(e for e, _, _ in self._edges)
         self._hash = hash((self._vertices, self._edges))
+        self._scc_index = None  # built by the hereditary module on first use
 
     # -- basic accessors -------------------------------------------------
 
@@ -164,7 +157,7 @@ class Graph:
         return self._edges
 
     def edge_ids(self) -> tuple[str, ...]:
-        return tuple(e for e, _, _ in self._edges)
+        return self._edge_ids
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vindex
@@ -261,9 +254,6 @@ class Graph:
         i = min(range(len(edges)), key=lambda j: self.vertex_index(sources[j]))
         rot = edges[i:] + edges[:i]
         return Cycle(self.path(sources[i], rot), sources[i:] + sources[:i])
-
-    def cycle_key(self, c: Cycle):
-        return (c.length, tuple(self.edge_index(e) for e in c.edges))
 
     def check_cycle(self, c: Cycle) -> None:
         try:
@@ -382,59 +372,6 @@ def parse_graph(text: str) -> Graph:
         if dst not in vset:
             raise UnknownVertexError(f"unknown vertex {dst!r}", lineno)
     return Graph(vertices, [(e, s, t) for e, s, t, _ in edges])
-
-
-def descendants(g: Graph, v: str) -> frozenset[str]:
-    """All vertices reachable from ``v`` by a path of length >= 0."""
-    if not g.has_vertex(v):
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for e in g.out_edges(u):
-                t = g.target_of(e)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def simple_cycles(g: Graph, cap: int = 1_000_000) -> list[Cycle]:
-    """Enumerate every cycle (closed path with distinct edge sources).
-
-    Backtracking search anchored at each start vertex in turn; intermediate
-    vertices are restricted to larger declaration indexes so each cycle is
-    produced exactly once, already in canonical rotation.  Raises
-    CycleCapExceeded if more than ``cap`` cycles are found.
-    """
-    found: list[Cycle] = []
-    for start_idx, start in enumerate(g.vertices):
-        stack: list[tuple[str, object]] = [(start, iter(g.out_edges(start)))]
-        path_edges: list[str] = []
-        on_path = {start}
-        while stack:
-            v, it = stack[-1]
-            e = next(it, None)  # type: ignore[arg-type]
-            if e is None:
-                stack.pop()
-                if path_edges:
-                    last = path_edges.pop()
-                    on_path.discard(g.target_of(last))
-                continue
-            t = g.target_of(e)
-            if t == start:
-                if len(found) >= cap:
-                    raise CycleCapExceeded(cap)
-                found.append(g.cycle(tuple(path_edges) + (e,)))
-            elif g.vertex_index(t) > start_idx and t not in on_path:
-                path_edges.append(e)
-                on_path.add(t)
-                stack.append((t, iter(g.out_edges(t))))
-    found.sort(key=g.cycle_key)
-    return found
 
 
 def cycle_exits(g: Graph, c: Cycle) -> list[str]:

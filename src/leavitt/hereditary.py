@@ -4,6 +4,10 @@ Covers annihilator sets, arrival paths with finiteness witnesses, minimal
 hereditary sets, cycle equivalence of the minimal sets, the two Boolean
 algebras they generate, and the structure report that predicts the center
 of the associated Leavitt path algebra.
+
+Every one of these is a reachability fact about the strongly connected
+components (SCCs) of the graph, so each graph computes its SCCs once, on
+first use, and keeps them with the facts derived from them (``_Index``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ __all__ = [
     "perp",
     "arrival_paths",
     "is_finitary",
-    "points_to",
     "minimal_hereditary_sets",
     "equivalence_classes",
     "class_support",
@@ -102,64 +105,26 @@ def _require_hereditary(g: Graph, ws: Iterable[str]) -> frozenset[str]:
     return W
 
 
-def _reaching_set(g: Graph, W: frozenset[str]) -> frozenset[str]:
-    """Vertices with a path (length >= 0) into ``W``."""
-    seen = set(W)
-    frontier = list(W)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in g.in_edges(v):
-                s = g.source_of(e)
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return frozenset(seen)
+def _mask(g: Graph, ws: Iterable[str]) -> int:
+    """Vertex set as an int bitset: bit i is the vertex declared i-th."""
+    return sum(1 << g.vertex_index(v) for v in ws)
+
+
+def _members(g: Graph, mask: int) -> frozenset[str]:
+    """The vertices whose bit is set; ``~mask`` gives the complement."""
+    mask &= (1 << len(g.vertices)) - 1
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(g.vertices[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def perp(g: Graph, ws: Iterable[str]) -> frozenset[str]:
     """Vertices with no path into the subset (the annihilator complement)."""
     W = _as_vertex_set(g, ws)
-    return frozenset(g.vertices) - _reaching_set(g, W)
-
-
-def _double_perp(g: Graph, W: frozenset[str]) -> frozenset[str]:
-    return perp(g, perp(g, W))
-
-
-def _find_cycle_within(g: Graph, allowed: frozenset[str]) -> Cycle | None:
-    """First cycle (in DFS order over declarations) whose vertices all lie in ``allowed``."""
-    color: dict[str, int] = {}  # 0 = on the current DFS stack, 1 = finished
-    for root in g.vertices:
-        if root not in allowed or root in color:
-            continue
-        stack: list[tuple[str, object]] = [(root, iter(g.out_edges(root)))]
-        color[root] = 0
-        path_vertices = [root]
-        path_edges: list[str] = []
-        while stack:
-            v, it = stack[-1]
-            e = next(it, None)  # type: ignore[arg-type]
-            if e is None:
-                stack.pop()
-                color[v] = 1
-                path_vertices.pop()
-                if path_edges:
-                    path_edges.pop()
-                continue
-            t = g.target_of(e)
-            if t not in allowed:
-                continue
-            if color.get(t) == 0:
-                j = path_vertices.index(t)
-                return g.cycle(tuple(path_edges[j:]) + (e,))
-            if t not in color:
-                color[t] = 0
-                path_vertices.append(t)
-                path_edges.append(e)
-                stack.append((t, iter(g.out_edges(t))))
-    return None
+    return _members(g, ~_index(g).reach(W))
 
 
 def is_finitary(g: Graph, ws: Iterable[str]) -> bool:
@@ -168,38 +133,30 @@ def is_finitary(g: Graph, ws: Iterable[str]) -> bool:
     Equivalent to: no cycle disjoint from the subset reaches it.
     """
     W = _require_hereditary(g, ws)
-    if not W:
-        return True
-    outside = _reaching_set(g, W) - W
-    return _find_cycle_within(g, outside) is None
+    idx = _index(g)
+    return not idx.reach(W) & ~_mask(g, W) & idx.cyclic
 
 
-def _shortest_connector(g: Graph, c: Cycle, W: frozenset[str]) -> Path:
-    """Breadth-first shortest path from a cycle vertex into ``W``."""
-    parents: dict[str, tuple[str, str]] = {}
-    seen = set(c.sources)
-    queue = list(c.sources)
-    while queue:
+def _shortest_path(g: Graph, start: str, goal: Iterable[str]) -> Path:
+    """Breadth-first shortest path of length >= 1 from ``start`` into ``goal``."""
+    via: dict[str, str] = {}  # vertex -> the edge that first reached it
+    frontier = [start]
+    while frontier:
         nxt = []
-        for v in queue:
+        for v in frontier:
             for e in g.out_edges(v):
                 t = g.target_of(e)
-                if t in seen:
+                if t in via:
                     continue
-                seen.add(t)
-                parents[t] = (v, e)
-                if t in W:
-                    edges = []
-                    cur = t
-                    while cur not in c.vertex_set:
-                        prev, pe = parents[cur]
-                        edges.append(pe)
-                        cur = prev
-                    edges.reverse()
-                    return g.path(cur, edges)
+                via[t] = e
+                if t in goal:
+                    edges = [e]
+                    while g.source_of(edges[-1]) != start:
+                        edges.append(via[g.source_of(edges[-1])])
+                    return g.path(start, reversed(edges))
                 nxt.append(t)
-        queue = nxt
-    raise AssertionError("witness cycle does not reach the subset")
+        frontier = nxt
+    raise AssertionError(f"{start!r} does not reach the goal")
 
 
 def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArrivals:
@@ -210,43 +167,29 @@ def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArriv
     cycle (disjoint from the subset) and a connector path into the subset.
     """
     W = _require_hereditary(g, ws)
-    if not W:
-        return FiniteArrivals(())
-    outside = _reaching_set(g, W) - W
-    witness = _find_cycle_within(g, outside)
-    if witness is not None:
-        return InfiniteArrivals(witness, _shortest_connector(g, witness, W))
-    # induced subgraph on ``outside`` is acyclic here, so memoized DFS terminates
-    memo: dict[str, tuple[tuple[str, ...], ...]] = {}
-
-    def suffixes(v: str) -> tuple[tuple[str, ...], ...]:
-        if v in memo:
-            return memo[v]
+    idx = _index(g)
+    outside = idx.reach(W) & ~_mask(g, W)
+    looping = outside & idx.cyclic
+    if looping:
+        # shortest cycle through the first-declared cycle vertex outside W
+        v = g.vertices[(looping & -looping).bit_length() - 1]
+        witness = g.cycle(_shortest_path(g, v, (v,)).edges)
+        return InfiniteArrivals(witness, _shortest_path(g, v, W))
+    # outside W is acyclic, and Tarjan order puts each vertex after its successors
+    tails: dict[str, list[tuple[str, ...]]] = {}
+    paths = [g.vertex_path(w) for w in W]
+    for v in sorted(_members(g, outside), key=idx.comp_of.__getitem__):
         acc: list[tuple[str, ...]] = []
         for e in g.out_edges(v):
             t = g.target_of(e)
             if t in W:
                 acc.append((e,))
-            elif t in outside:
-                acc.extend((e,) + rest for rest in suffixes(t))
-        memo[v] = tuple(acc)
-        return memo[v]
-
-    paths = [g.vertex_path(w) for w in W]
-    for v in outside:
-        paths.extend(g.path(v, seq) for seq in suffixes(v))
+            elif t in tails:
+                acc.extend((e,) + rest for rest in tails[t])
+        tails[v] = acc
+        paths.extend(Path(v, seq, g.target_of(seq[-1])) for seq in acc)
     paths.sort(key=g.path_key)
     return FiniteArrivals(tuple(paths))
-
-
-def points_to(g: Graph, c: Cycle, ws: Iterable[str]) -> bool:
-    """True when the cycle avoids the subset but every cycle vertex reaches it."""
-    g.check_cycle(c)
-    W = _require_hereditary(g, ws)
-    if not c.vertex_set.isdisjoint(W):
-        return False
-    reach = _reaching_set(g, W)
-    return c.vertex_set <= reach
 
 
 def _strong_components(g: Graph) -> list[frozenset[str]]:
@@ -298,21 +241,89 @@ def _strong_components(g: Graph) -> list[frozenset[str]]:
     return out
 
 
-def minimal_hereditary_sets(g: Graph) -> list[frozenset[str]]:
-    """The minimal nonempty hereditary subsets: terminal strongly connected components."""
+class _Index:
+    """The SCCs of one graph and the facts this module derives from them.
+
+    Vertex sets are bitsets (see ``_mask``).  The index keeps only names,
+    ints and frozensets: a reference back to the graph would form a cycle
+    that outlives the graph until the garbage collector runs.
+    """
+
+    def __init__(self, g: Graph):
+        comps = _strong_components(g)  # Tarjan order: each SCC after every SCC it reaches
+        self.comp_of = {v: i for i, S in enumerate(comps) for v in S}
+        bits = [_mask(g, S) for S in comps]
+        self.cyclic = 0  # vertices on a cycle
+        self.reach_into = bits[:]  # per SCC, the vertices with a path into it
+        sinks = []
+        for i in reversed(range(len(comps))):  # every SCC before the SCCs it reaches
+            below = {self.comp_of[g.target_of(e)] for v in comps[i] for e in g.out_edges(v)}
+            if i in below:
+                self.cyclic |= bits[i]
+                below.remove(i)
+            if not below:
+                sinks.append(i)
+            for j in below:
+                self.reach_into[j] |= self.reach_into[i]
+        sinks.sort(key=lambda i: min(g.vertex_index(v) for v in comps[i]))
+        self.minimal = tuple(comps[i] for i in sinks)
+        self.sink_reach = [self.reach_into[i] for i in sinks]
+
+        # the minimal sets below one cyclic SCC fall into one class; groups are
+        # disjoint bitsets of minimal-set indexes, so the sum of some is their union
+        groups = [1 << j for j in range(len(sinks))]
+        for b in bits:
+            if b & self.cyclic:
+                reached = sum(1 << j for j, r in enumerate(self.sink_reach) if r & b)
+                joined = [grp for grp in groups if grp & reached]
+                groups = [grp for grp in groups if not grp & reached] + [sum(joined)]
+        self.classes = sorted(tuple(j for j in range(len(sinks)) if grp >> j & 1) for grp in groups)
+        summands = []
+        for cls in self.classes:
+            j = cls[0]
+            finitary = not self.sink_reach[j] & ~bits[sinks[j]] & self.cyclic
+            cycle = _ne_cycle_covering(g, self.minimal[j]) if len(cls) == 1 and finitary else None
+            summands.append(ClassSummand(cls, self.support(g, cls), cycle))
+        self.summands = tuple(summands)
+
+    def reach(self, W: Iterable[str]) -> int:
+        """Vertices with a path (length >= 0) into ``W``."""
+        out = 0
+        for c in {self.comp_of[v] for v in W}:
+            out |= self.reach_into[c]
+        return out
+
+    def support(self, g: Graph, chosen) -> frozenset[str]:
+        """Double annihilator of the union of the chosen minimal sets.
+
+        Every vertex reaches some minimal set, and each minimal set outside
+        the union lies in its annihilator; so the double annihilator is the
+        set of vertices that reach no minimal set outside the union.
+        """
+        others = 0
+        for j, r in enumerate(self.sink_reach):
+            if j not in chosen:
+                others |= r
+        return _members(g, ~others)
+
+
+def _index(g: Graph) -> _Index:
+    """The index of ``g``, built on first use and kept on the graph."""
+    if g._scc_index is None:
+        g._scc_index = _Index(g)
+    return g._scc_index
+
+
+def _structure(g: Graph) -> _Index:
+    """The index of a graph with vertices, which every minimal set needs."""
     if not g.vertices:
         raise ValueError("graph has no vertices")
-    terminal = [
-        S
-        for S in _strong_components(g)
-        if all(g.target_of(e) in S for v in S for e in g.out_edges(v))
-    ]
-    terminal.sort(key=lambda S: min(g.vertex_index(v) for v in S))
-    return terminal
+    return _index(g)
 
 
-def _scc_contains_cycle(g: Graph, S: frozenset[str]) -> bool:
-    return any(g.target_of(e) in S for v in S for e in g.out_edges(v))
+def minimal_hereditary_sets(g: Graph) -> list[frozenset[str]]:
+    """The minimal nonempty hereditary subsets: terminal strongly connected components."""
+    return list(_structure(g).minimal)
 
 
 def equivalence_classes(g: Graph) -> list[tuple[int, ...]]:
@@ -323,47 +334,16 @@ def equivalence_classes(g: Graph) -> list[tuple[int, ...]]:
     its reachability, so it suffices to scan the components that contain a
     cycle.
     """
-    minimal = minimal_hereditary_sets(g)
-    k = len(minimal)
-    reach = [_reaching_set(g, W) for W in minimal]
-    parent = list(range(k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for S in _strong_components(g):
-        if not _scc_contains_cycle(g, S):
-            continue
-        targets = [
-            i for i in range(k) if S.isdisjoint(minimal[i]) and not S.isdisjoint(reach[i])
-        ]
-        for i, j in zip(targets, targets[1:]):
-            union(i, j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    classes = [tuple(sorted(members)) for members in groups.values()]
-    classes.sort(key=lambda cls: cls[0])
-    return classes
+    return list(_structure(g).classes)
 
 
 def class_support(g: Graph, members: Iterable[int]) -> frozenset[str]:
     """Double annihilator of the union of the minimal sets in one class."""
     cls = tuple(sorted(members))
-    if cls not in equivalence_classes(g):
+    idx = _structure(g)
+    if cls not in idx.classes:
         raise ValueError(f"{cls!r} is not an equivalence class of this graph")
-    minimal = minimal_hereditary_sets(g)
-    union = frozenset().union(*(minimal[i] for i in cls))
-    return _double_perp(g, union)
+    return idx.summands[idx.classes.index(cls)].support
 
 
 def _set_key(g: Graph, s: frozenset[str]):
@@ -373,12 +353,9 @@ def _set_key(g: Graph, s: frozenset[str]):
 def annihilator_boolean_algebra(g: Graph) -> list[frozenset[str]]:
     """All annihilator hereditary subsets: double annihilators of unions of
     minimal sets.  Exactly 2^k of them."""
-    minimal = minimal_hereditary_sets(g)
-    k = len(minimal)
-    members = {
-        _double_perp(g, frozenset().union(frozenset(), *(minimal[i] for i in range(k) if mask >> i & 1)))
-        for mask in range(1 << k)
-    }
+    idx = _structure(g)
+    k = len(idx.minimal)
+    members = {idx.support(g, {i for i in range(k) if mask >> i & 1}) for mask in range(1 << k)}
     if len(members) != 1 << k:
         raise AssertionError("annihilator algebra must have exactly 2^k members")
     return sorted(members, key=lambda s: _set_key(g, s))
@@ -387,14 +364,13 @@ def annihilator_boolean_algebra(g: Graph) -> list[frozenset[str]]:
 def finitary_boolean_subalgebra(g: Graph) -> list[frozenset[str]]:
     """All finitary annihilator hereditary subsets: Boolean joins of the class
     supports.  Exactly 2^m of them."""
-    minimal = minimal_hereditary_sets(g)
-    classes = equivalence_classes(g)
+    idx = _structure(g)
+    classes = idx.classes
     m = len(classes)
     members = set()
     for mask in range(1 << m):
-        picked = [i for j in range(m) if mask >> j & 1 for i in classes[j]]
-        union = frozenset().union(frozenset(), *(minimal[i] for i in picked))
-        members.add(_double_perp(g, union))
+        picked = {i for j in range(m) if mask >> j & 1 for i in classes[j]}
+        members.add(idx.support(g, picked))
     if len(members) != 1 << m:
         raise AssertionError("finitary subalgebra must have exactly 2^m members")
     return sorted(members, key=lambda s: _set_key(g, s))
@@ -462,17 +438,5 @@ def _ne_cycle_covering(g: Graph, W: frozenset[str]) -> Cycle | None:
 def center_structure(g: Graph) -> CenterReport:
     """Predict the center: one Laurent summand per finitary exit-free cycle
     class, one field summand per remaining class."""
-    minimal = tuple(minimal_hereditary_sets(g))
-    classes = equivalence_classes(g)
-    summands = []
-    for cls in classes:
-        union = frozenset().union(*(minimal[i] for i in cls))
-        support = _double_perp(g, union)
-        cycle = None
-        if len(cls) == 1:
-            W = minimal[cls[0]]
-            cycle = _ne_cycle_covering(g, W)
-            if cycle is not None and not is_finitary(g, W):
-                cycle = None
-        summands.append(ClassSummand(cls, support, cycle))
-    return CenterReport(g, minimal, tuple(summands))
+    idx = _structure(g)
+    return CenterReport(g, idx.minimal, idx.summands)

@@ -187,6 +187,15 @@ def test_idempotents_trivial_family(capsys):
     ]
 
 
+def test_idempotents_law_failure_exits_1(monkeypatch, capsys):
+    # every subset mapped to 1 breaks the complement law
+    monkeypatch.setattr("leavitt.cli.idempotent", lambda algebra, ws: algebra.one())
+    code, out, err = run(capsys, "idempotents", fx("g3"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: complement law fails for {}\n"
+
+
 def test_output_is_deterministic(capsys):
     for argv in (
         ("analyze", fx("g3")),
@@ -205,6 +214,16 @@ def test_missing_file_is_an_input_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.lpa"
+    bad.write_bytes(b"vertex v1\n\xff\n")
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "UTF-8" in err
 
 
 def test_parse_error_reports_line_number(tmp_path, capsys):

@@ -1,23 +1,16 @@
-import random
-
 import pytest
 
 from leavitt import (
-    CycleCapExceeded,
     DuplicateIdError,
     GraphParseError,
     NotACycleError,
     UnknownVertexError,
     canonical_specialization,
     cycle_exits,
-    descendants,
     is_ne_cycle,
     parse_graph,
-    simple_cycles,
 )
 from leavitt.graph import Specialization
-
-from oracles import brute_descendants, closed_paths_upto, random_graph
 
 
 def test_parse_basic(g3):
@@ -133,48 +126,6 @@ def test_cycle_rejects_non_cycles(g3):
     )
     with pytest.raises(NotACycleError):
         g.cycle(("e1", "e2", "e3", "e4"))  # revisits x
-
-
-def test_descendants_fixture_values(g3, g6):
-    assert descendants(g3, "v1") == frozenset({"v1", "v2", "v3", "v4", "v5"})
-    assert descendants(g3, "v2") == frozenset({"v2", "v3", "v4"})
-    assert descendants(g3, "v5") == frozenset({"v5"})
-    assert descendants(g6, "w1") == frozenset({"w1"})
-
-
-def test_descendants_against_closure_oracle():
-    rng = random.Random(101)
-    for _ in range(60):
-        g = random_graph(rng)
-        for v in g.vertices:
-            assert descendants(g, v) == brute_descendants(g, v)
-
-
-def test_simple_cycles_fixture_values(g1, g2, g3, g5):
-    assert [str(c) for c in simple_cycles(g1)] == ["(c)"]
-    assert [str(c) for c in simple_cycles(g2)] == ["(c)"]
-    assert [str(c) for c in simple_cycles(g3)] == ["(b2 b3 b4)"]
-    assert simple_cycles(g5) == []
-
-
-def test_simple_cycles_against_closed_path_oracle():
-    rng = random.Random(202)
-    for _ in range(40):
-        g = random_graph(rng)
-        expected = set()
-        for src, edges in closed_paths_upto(g, len(g.vertices)):
-            sources = [g.source_of(e) for e in edges]
-            if len(set(sources)) == len(edges):
-                expected.add(g.cycle(edges))
-        assert set(simple_cycles(g)) == expected
-
-
-def test_simple_cycles_cap():
-    # two loops at one vertex give two 1-cycles
-    g = parse_graph("vertex v\nedge p v v\nedge q v v\n")
-    assert len(simple_cycles(g)) == 2
-    with pytest.raises(CycleCapExceeded):
-        simple_cycles(g, cap=1)
 
 
 def test_cycle_exits_and_ne(g1, g2, g3):

@@ -1,4 +1,8 @@
+import gc
+import json
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -15,9 +19,10 @@ from leavitt import (
     is_finitary,
     is_hereditary,
     minimal_hereditary_sets,
+    parse_graph,
     perp,
-    points_to,
 )
+from leavitt.cli import main
 
 from oracles import (
     brute_arrival_paths,
@@ -128,6 +133,25 @@ def test_arrival_witness_and_finite_list_shapes():
                 assert got == sorted(expected)
 
 
+def test_arrival_paths_on_a_chain_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # a feeder chain into an exit-free loop, longer than any recursive walk allows
+    n = sys.getrecursionlimit() + 200
+    lines = [f"vertex c{i}" for i in range(n + 1)]
+    lines += [f"edge e{i} c{i} c{i + 1}" for i in range(n)]
+    lines.append(f"edge loop c{n} c{n}")
+    text = "\n".join(lines) + "\n"
+    arr = arrival_paths(parse_graph(text), fs(f"c{n}"))
+    assert isinstance(arr, FiniteArrivals)
+    assert len(arr.paths) == n + 1 and arr.max_length() == n
+
+    path = tmp_path / "chain.lpa"
+    path.write_text(text)
+    code = main(["center", str(path), "--degree", "1", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(report["payload"]["basis"]) == 1
+
+
 def test_is_finitary_fixture_values(g2, g3, g6):
     assert is_finitary(g3, fs("v2", "v3", "v4"))
     assert is_finitary(g3, fs("v5"))
@@ -143,19 +167,6 @@ def test_is_finitary_against_walk_oracle():
         g = random_graph(rng)
         for ws in hereditary_subsets(g):
             assert is_finitary(g, ws) == brute_is_finitary(g, ws)
-
-
-def test_points_to(g1, g2, g3, g6):
-    c = g2.cycle(("c",))
-    assert points_to(g2, c, fs("v2"))
-    c0 = g6.cycle(("c0",))
-    assert points_to(g6, c0, fs("w1"))
-    assert points_to(g6, c0, fs("w2"))
-    b = g3.cycle(("b2", "b3", "b4"))
-    assert not points_to(g3, b, fs("v5"))
-    # overlap with the subset is a plain no, not an error
-    assert not points_to(g1, g1.cycle(("c",)), fs("v1"))
-    assert not points_to(g3, b, fs("v2", "v3", "v4"))
 
 
 def test_minimal_hereditary_fixture_values(g1, g2, g3, g4, g5, g6):
@@ -295,3 +306,24 @@ def test_center_structure_laurent_recognition(g1, g3, g6):
     assert rep.summands[0].is_laurent and rep.summands[0].cycle_length == 1
     rep = center_structure(g6)
     assert not rep.summands[0].is_laurent
+
+
+def test_structure_cache_does_not_keep_the_graph_alive():
+    g = parse_graph("vertex v\nvertex w\nedge e v w\nedge l w w\n")
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        center_structure(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_cached_results_are_not_shared_with_callers(g3):
+    sets = minimal_hereditary_sets(g3)
+    classes = equivalence_classes(g3)
+    sets.clear()
+    classes.append((7,))
+    assert minimal_hereditary_sets(g3) == [fs("v2", "v3", "v4"), fs("v5")]
+    assert equivalence_classes(g3) == [(0,), (1,)]
