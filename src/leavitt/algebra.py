@@ -252,12 +252,6 @@ class Element:
         key = self.algebra.monomial_key
         return sorted(self._terms.items(), key=lambda mc: key(mc[0]))
 
-    def monomials(self) -> list[Monomial]:
-        return sorted(self._terms, key=self.algebra.monomial_key)
-
-    def coefficient(self, m: Monomial):
-        return self._terms.get(m, self.algebra.field.zero)
-
     def degrees(self) -> list[int]:
         return sorted({m.degree for m in self._terms})
 
@@ -530,15 +524,8 @@ class LeavittAlgebra:
         return None
 
     def monomial_key(self, m: Monomial):
-        g = self.graph
-        return (
-            m.left.length,
-            m.right.length,
-            tuple(g.edge_index(e) for e in m.left.edges),
-            g.vertex_index(m.left.source),
-            tuple(g.edge_index(e) for e in m.right.edges),
-            g.vertex_index(m.right.source),
-        )
+        key = self.graph.path_key
+        return (m.left.length, m.right.length, key(m.left), key(m.right))
 
     # -- element text -------------------------------------------------------
 
@@ -589,9 +576,6 @@ class LeavittAlgebra:
                     pos = m.end()
                 if not ids:
                     raise ElementSyntaxError("empty bracket: use [@v] for a vertex path")
-                for e in ids:
-                    if not g.has_edge(e):
-                        raise ElementSyntaxError(f"unknown edge {e!r}")
                 try:
                     side = g.path(g.source_of(ids[0]), ids)
                 except ValueError as exc:

@@ -53,28 +53,33 @@ def idempotent(algebra: LeavittAlgebra, ws) -> Element:
     over all arrival paths p into the subset."""
     arr = _finite_arrivals(algebra.graph, ws)
     one = algebra.field.one
-    return algebra.element((Monomial(p, p), one) for p in arr.paths)
+    return Element(algebra, algebra._normal_form({Monomial(p, p): one for p in arr.paths}))
 
 
-def cycle_generator(algebra: LeavittAlgebra, c: Cycle) -> Element:
-    """Sum of the rotations of an exit-free cycle, each based at its own
-    start vertex.  Central in the corner algebra over the cycle's vertices."""
-    g = algebra.graph
-    g.check_cycle(c)
-    exits = cycle_exits(g, c)
+def _rotation_power(algebra: LeavittAlgebra, c: Cycle, k: int) -> Element:
+    """The k-th power of the rotation sum of an exit-free cycle, written
+    term for term as the sum over cycle vertices s of [rot_s^k][@s].
+
+    Rotations at different vertices multiply to zero and [rot_s^i][@s] times
+    [rot_s^j][@s] is [rot_s^(i+j)][@s], whose empty right path keeps it basic.
+    """
+    exits = cycle_exits(algebra.graph, c)
     if exits:
         raise HasExitError(
             f"cycle {c} has exit edge {exits[0]!r}; its rotation sum is not central"
         )
     one = algebra.field.one
-    k = c.length
-    terms = []
-    for i in range(k):
-        edges = c.edges[i:] + c.edges[:i]
-        start = c.sources[i]
-        rot = g.path(start, edges)
-        terms.append((Monomial(rot, g.vertex_path(start)), one))
-    return algebra.element(terms)
+    terms = {}
+    for i, s in enumerate(c.sources):
+        rot = (c.edges[i:] + c.edges[:i]) * k
+        terms[Monomial(Path(s, rot, s), Path(s, (), s))] = one
+    return Element(algebra, algebra._normal_form(terms))
+
+
+def cycle_generator(algebra: LeavittAlgebra, c: Cycle) -> Element:
+    """Sum of the rotations of an exit-free cycle, each based at its own
+    start vertex.  Central in the corner algebra over the cycle's vertices."""
+    return _rotation_power(algebra, c, 1)
 
 
 def embed(algebra: LeavittAlgebra, ws, a: Element) -> Element:
@@ -90,8 +95,8 @@ def embed(algebra: LeavittAlgebra, ws, a: Element) -> Element:
     g = algebra.graph
     arr = _finite_arrivals(g, ws)
     inside = frozenset(ws)
-    terms = []
-    for m, c in a.terms():
+    terms = {}
+    for m, c in a._terms.items():
         if m.left.source != m.right.source:
             raise ValueError(f"monomial {m} is not based at a single vertex")
         if m.left.source not in inside:
@@ -99,8 +104,8 @@ def embed(algebra: LeavittAlgebra, ws, a: Element) -> Element:
         for p in arr.paths:
             if p.target != m.left.source:
                 continue
-            terms.append((Monomial(g.concat(p, m.left), g.concat(p, m.right)), c))
-    return algebra.element(terms)
+            terms[Monomial(g.concat(p, m.left), g.concat(p, m.right))] = c
+    return Element(algebra, algebra._normal_form(terms))
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,9 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
 
     Degree 0 yields the idempotents of the class supports.  Degree d != 0
     yields, for each exit-free cycle of length dividing |d| that generates a
-    Laurent summand, the matching power of its rotation sum conjugated out
-    over the cycle's own vertex set (then starred for negative d).
+    Laurent summand, the matching power of its rotation sum, written in
+    closed form, conjugated out over the cycle's own vertex set (then starred
+    for negative d).
     """
     report = center_structure(algebra.graph)
     elements: list[Element] = []
@@ -133,18 +139,14 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
             provenance.append(f"idempotent of {sup}")
         return CentralBasis(0, tuple(elements), tuple(provenance))
     for s in report.summands:
-        if s.cycle is None:
+        if s.cycle is None or d % s.cycle.length != 0:
             continue
-        n = s.cycle.length
-        if d % n != 0:
-            continue
-        z = cycle_generator(algebra, s.cycle)
-        power = z ** (abs(d) // n)
-        lifted = embed(algebra, s.cycle.vertex_set, power)
+        k = abs(d) // s.cycle.length
+        lifted = embed(algebra, s.cycle.vertex_set, _rotation_power(algebra, s.cycle, k))
         if d < 0:
             lifted = lifted.star()
         elements.append(lifted)
-        provenance.append(f"cycle {s.cycle} to the power {abs(d) // n}")
+        provenance.append(f"cycle {s.cycle} to the power {k}")
     return CentralBasis(d, tuple(elements), tuple(provenance))
 
 

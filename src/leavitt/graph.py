@@ -201,12 +201,6 @@ class Graph:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
-    def edge_index(self, e: str) -> int:
-        try:
-            return self._eindex[e]
-        except KeyError:
-            raise UnknownEdgeError(f"unknown edge {e!r}") from None
-
     def sorted_vertices(self, ws: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(ws, key=self.vertex_index))
 
@@ -238,7 +232,15 @@ class Graph:
         return Path(a.source, a.edges + b.edges, b.target)
 
     def path_key(self, p: Path):
-        return (p.length, tuple(self.edge_index(e) for e in p.edges), self.vertex_index(p.source))
+        """Sort key: length, then the declaration indexes of the edges, then
+        that of the source.  Every monomial and path order derives from it."""
+        try:
+            return (p.length, tuple(map(self._eindex.__getitem__, p.edges)), self._vindex[p.source])
+        except KeyError as exc:
+            # the edges are looked up first, so an unknown edge is the one reported
+            if any(e not in self._eindex for e in p.edges):
+                raise UnknownEdgeError(f"unknown edge {exc.args[0]!r}") from None
+            raise UnknownVertexError(f"unknown vertex {exc.args[0]!r}") from None
 
     def cycle(self, edges: Iterable[str]) -> Cycle:
         """Canonicalize ``edges`` as a cycle (rotated to the smallest start vertex)."""

@@ -1,8 +1,11 @@
 import pathlib
+import random
 
 import pytest
 
 from leavitt import parse_graph
+
+from oracles import random_graph
 
 FIXTURES_DIR = pathlib.Path(__file__).parent / "fixtures"
 
@@ -48,3 +51,10 @@ def g5(graphs):
 @pytest.fixture(scope="session")
 def g6(graphs):
     return graphs["g6"]
+
+
+@pytest.fixture(scope="session")
+def corpus(graphs):
+    """The fixtures followed by the seeded random corpus of the acceptance gate."""
+    rng = random.Random(CORPUS_SEED)
+    return list(graphs.values()) + [random_graph(rng) for _ in range(100)]

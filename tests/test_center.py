@@ -8,9 +8,11 @@ from leavitt import (
     NotFinitaryError,
     NotHereditaryError,
     PrimeField,
+    Rationals,
     brute_force_center,
     center_basis,
     center_dimension_predicted,
+    center_structure,
     class_support,
     cycle_generator,
     embed,
@@ -195,6 +197,25 @@ def test_center_basis_fixture_values(g1, g3):
         assert len(center_basis(a1, d)) == 1
     assert str(center_basis(a1, 2).elements[0]) == "[c c][@v1]"
     assert str(center_basis(a1, 0).elements[0]) == "v1"
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(97)], ids=["rat", "fp97"])
+def test_center_basis_cycle_powers_equal_repeated_products(field, chain_loop, fork_loops, corpus):
+    # center_basis writes the cycle powers in closed form; the reference is
+    # cycle_generator(c) ** k conjugated out, starred for negative degrees
+    for g in [chain_loop, fork_loops] + corpus:
+        alg = LeavittAlgebra(g, field=field)
+        cycles = [s.cycle for s in center_structure(g).summands if s.cycle is not None]
+        top = 3 * max((c.length for c in cycles), default=0)
+        for d in range(-top, top + 1):
+            if d == 0:
+                continue
+            expected = []
+            for c in cycles:
+                if d % c.length == 0:
+                    z = embed(alg, c.vertex_set, cycle_generator(alg, c) ** (abs(d) // c.length))
+                    expected.append(z.star() if d < 0 else z)
+            assert center_basis(alg, d).elements == tuple(expected), d
 
 
 def test_center_basis_conjugates_past_the_cycle(chain_loop):

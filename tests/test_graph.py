@@ -4,6 +4,8 @@ from leavitt import (
     DuplicateIdError,
     GraphParseError,
     NotACycleError,
+    Path,
+    UnknownEdgeError,
     UnknownVertexError,
     canonical_specialization,
     cycle_exits,
@@ -103,6 +105,15 @@ def test_path_key_orders_by_length_then_edges(g3):
     ]
     paths.sort(key=g3.path_key)
     assert [str(p) for p in paths] == ["@v1", "a", "d", "b2 b3"]
+
+
+def test_path_key_rejects_unknown_names(g3):
+    with pytest.raises(UnknownEdgeError):
+        g3.path_key(Path("v1", ("a", "zz"), "v2"))
+    with pytest.raises(UnknownVertexError):
+        g3.path_key(Path("v9", (), "v9"))
+    with pytest.raises(UnknownVertexError):
+        g3.path_key(Path("v9", ("a",), "v2"))
 
 
 def test_cycle_canonical_rotation(g3):
