@@ -382,6 +382,8 @@ class LeavittAlgebra:
         self.field = field if field is not None else Rationals()
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, LeavittAlgebra)
             and self.graph == other.graph

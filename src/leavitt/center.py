@@ -185,6 +185,7 @@ def oracle_bound(graph: Graph, d: int) -> int:
 
 def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
     """Sparse reduced row echelon form.  Returns (rows, pivot column -> row index)."""
+    zero = field.zero
     pivots: dict = {}
     reduced: list[dict] = []
     for row in rows:
@@ -196,7 +197,7 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
             if not lead:
                 continue
             for c2, v2 in reduced[pivots[c]].items():
-                total = row.get(c2, field.zero) - lead * v2
+                total = row.get(c2, zero) - lead * v2
                 if total:
                     row[c2] = total
                 else:
@@ -210,7 +211,7 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
             if col in prior:
                 lead = prior[col]
                 for c2, v2 in row.items():
-                    total = prior.get(c2, field.zero) - lead * v2
+                    total = prior.get(c2, zero) - lead * v2
                     if total:
                         prior[c2] = total
                     else:
@@ -233,6 +234,27 @@ def _nullspace(rows: list[dict], ncols: int, field) -> list[dict]:
                 vec[col] = -coeff
         basis.append(vec)
     return basis
+
+
+def _touching_edges(graph: Graph, m: Monomial) -> tuple[str, ...]:
+    """The edges e for which e or e* multiplies m = [p][q] = p q^* to a
+    nonzero monomial on one side or the other, in a fixed order, each once.
+
+    A product of monomials is nonzero exactly when one inner path continues
+    the other.  So m e needs e to be the first edge of q (any edge out of
+    the range r when q is a vertex); e* m needs the same of p; and e m and
+    m e* need e to end at the source of p or of q.
+    """
+    p, q = m.left, m.right
+    found = list(graph.in_edges(p.source))
+    if q.source != p.source:
+        found += graph.in_edges(q.source)
+    for side in (p, q):
+        if side.edges:
+            found.append(side.edges[0])
+        else:
+            found += graph.out_edges(side.target)
+    return tuple(dict.fromkeys(found))
 
 
 def brute_force_center(
@@ -274,25 +296,36 @@ def brute_force_center(
                 if algebra.is_basic(m):
                     candidates.append(m)
     candidates.sort(key=algebra.monomial_key)
-    index = {m: i for i, m in enumerate(candidates)}
 
-    gens = [algebra.edge(e) for e in g.edge_ids()]
-    gens += [algebra.edge_star(e) for e in g.edge_ids()]
+    # edge e gives the generators e and e*, as monomials, with row keys 2k and 2k+1
+    gens: dict[str, tuple] = {}
+    for k, e in enumerate(g.edge_ids()):
+        ep, tp = g.edge_path(e), g.vertex_path(g.target_of(e))
+        gens[e] = ((2 * k, Monomial(ep, tp)), (2 * k + 1, Monomial(tp, ep)))
 
+    one, zero = field.one, field.zero
+    product = algebra._monomial_product
     rows: dict[tuple, dict] = {}
     for i, m in enumerate(candidates):
-        x = Element(algebra, {m: field.one})
-        for gi, gen in enumerate(gens):
-            comm = x * gen - gen * x
-            for out, c in comm._terms.items():
-                row = rows.setdefault((gi, out), {})
-                total = row.get(i, field.zero) + c
-                if total:
-                    row[i] = total
-                else:
-                    row.pop(i, None)
+        # For m = [p][q] with source u and range r, e or e* can multiply m to
+        # something nonzero only for e an in-edge of u, the first edge of p
+        # or of q, or, when p or q is a vertex, an out-edge of r; every other
+        # generator commutes with m to 0.  The normal form is linear, so the
+        # commutator NF(m gen) - NF(gen m) is the NF of the raw difference.
+        for e in _touching_edges(g, m):
+            for gi, gen in gens[e]:
+                raw = {}
+                mg = product(m, gen)
+                if mg is not None:
+                    raw[mg] = one
+                gm = product(gen, m)
+                if gm is not None:
+                    raw[gm] = raw.get(gm, zero) - one
+                # each (m, gen) pair is visited once, so no entry is written twice
+                for out, c in algebra._normal_form(raw).items():
+                    rows.setdefault((gi, out), {})[i] = c
 
-    kernel = _nullspace([r for r in rows.values() if r], len(candidates), field)
+    kernel = _nullspace(list(rows.values()), len(candidates), field)
     elements = []
     for vec in kernel:
         elements.append(Element(algebra, {candidates[i]: c for i, c in vec.items()}))

@@ -10,6 +10,7 @@ with ``--json``.  Exit codes: 0 success, 1 failed check, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -292,10 +293,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, not at import, and
+    kept for the process, since parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

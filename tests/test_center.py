@@ -3,12 +3,15 @@ import random
 import pytest
 
 from leavitt import (
+    Element,
     HasExitError,
     LeavittAlgebra,
+    Monomial,
     NotFinitaryError,
     NotHereditaryError,
     PrimeField,
     Rationals,
+    Specialization,
     brute_force_center,
     center_basis,
     center_dimension_predicted,
@@ -24,6 +27,8 @@ from leavitt import (
     span_dimension,
     spans_equal,
 )
+
+from leavitt.center import _nullspace, _touching_edges
 
 from oracles import random_graph
 
@@ -267,6 +272,97 @@ def test_oracle_fixture_values(g1, g2, g3):
     g1_basis = brute_force_center(LeavittAlgebra(g1), 2, 6)
     assert [str(e) for e in g1_basis] == ["[c c][@v1]"]
     assert brute_force_center(LeavittAlgebra(g2), 1, 8) == []
+
+
+def _paths_by_ends(g, max_len):
+    """Every path of length at most max_len, grouped by (source, target)."""
+    frontier = [g.vertex_path(v) for v in g.vertices]
+    groups = {}
+    for _ in range(max_len + 1):
+        for p in frontier:
+            groups.setdefault((p.source, p.target), []).append(p)
+        frontier = [g.concat(p, g.edge_path(e)) for p in frontier for e in g.out_edges(p.target)]
+    return groups
+
+
+def _reference_oracle(alg, d, max_support):
+    """The oracle with its rows built by Element arithmetic: x * gen - gen * x
+    for every candidate x and every one of the 2|E| edge and edge-star
+    generators, followed by the same null space."""
+    g, field = alg.graph, alg.field
+    paths = [p for group in _paths_by_ends(g, (max_support + abs(d)) // 2).values() for p in group]
+    pairs = (Monomial(p, q) for p in paths for q in paths)
+    candidates = sorted(
+        (
+            m
+            for m in pairs
+            if (m.left.source, m.left.target) == (m.right.source, m.right.target)
+            and m.degree == d
+            and m.size <= max_support
+            and alg.is_basic(m)
+        ),
+        key=alg.monomial_key,
+    )
+    gens = [alg.edge(e) for e in g.edge_ids()] + [alg.edge_star(e) for e in g.edge_ids()]
+    rows = {}
+    for i, m in enumerate(candidates):
+        x = Element(alg, {m: field.one})
+        for gi, gen in enumerate(gens):
+            for out, c in (x * gen - gen * x)._terms.items():
+                rows.setdefault((gi, out), {})[i] = c
+    kernel = _nullspace(list(rows.values()), len(candidates), field)
+    return [Element(alg, {candidates[i]: c for i, c in vec.items()}) for vec in kernel]
+
+
+def _oracle_settings(g, rng):
+    """The graph's algebra over rat and over fp:97, and over rat under
+    special edges other than the canonical ones wherever there is a choice."""
+    choices = {
+        v: rng.choice(g.out_edges(v)[1:] or g.out_edges(v)) for v in g.vertices if g.out_edges(v)
+    }
+    return [
+        LeavittAlgebra(g),
+        LeavittAlgebra(g, field=PrimeField(97)),
+        LeavittAlgebra(g, Specialization(g, choices)),
+    ]
+
+
+def test_oracle_rows_from_monomial_products_match_element_arithmetic(chain_loop, fork_loops, corpus):
+    # the returned elements are read off the unique reduced row echelon form,
+    # so building the rows another way must not change them, not even their order
+    rng = random.Random(5)
+    for g in [chain_loop, fork_loops] + corpus:
+        for alg in _oracle_settings(g, rng):
+            for d in range(-3, 4):
+                bound = oracle_bound(g, d)
+                got = [str(e) for e in brute_force_center(alg, d, bound)]
+                assert got == [str(e) for e in _reference_oracle(alg, d, bound)], (g, alg, d)
+
+
+def test_touching_edges_cover_every_nonzero_generator_product(chain_loop, fork_loops, corpus):
+    # an edge outside the touching set of a basic monomial m, its two paths
+    # from any sources, gives 0 for m e, e m, m e* and e* m; an edge inside
+    # gives at least one nonzero product
+    for g in [chain_loop, fork_loops] + corpus:
+        alg = LeavittAlgebra(g)
+        by_range = {}
+        for (_, target), group in _paths_by_ends(g, 4).items():
+            by_range.setdefault(target, []).extend(group)
+        for group in by_range.values():
+            for m in (Monomial(p, q) for p in group for q in group):
+                if m.size > 4 or not alg.is_basic(m):
+                    continue
+                touching = _touching_edges(g, m)
+                assert len(set(touching)) == len(touching)
+                for e in g.edge_ids():
+                    ep, tp = g.edge_path(e), g.vertex_path(g.target_of(e))
+                    products = [
+                        alg._monomial_product(a, b)
+                        for gen in (Monomial(ep, tp), Monomial(tp, ep))
+                        for a, b in ((m, gen), (gen, m))
+                    ]
+                    nonzero = any(x is not None for x in products)
+                    assert nonzero == (e in touching), (g, str(m), e)
 
 
 def test_oracle_output_is_central(g3, chain_loop):

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import leavitt
 from leavitt.cli import main
 
 from conftest import FIXTURES_DIR
@@ -254,3 +259,31 @@ def test_bad_field_argument(capsys):
 def test_unknown_command(capsys):
     code, _, _ = run(capsys, "explode", fx("g1"))
     assert code == 2
+
+
+def run_alone(*argv):
+    """Exit code, stdout and stderr of one run in a fresh interpreter."""
+    src = str(pathlib.Path(leavitt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "leavitt.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_calls_print_what_single_runs_print(monkeypatch, capsys):
+    # main keeps one parser for the process; neither a failed parse nor a
+    # finished command may change what the next call prints
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    calls = [
+        ("center", fx("g3"), "--degree", "x"),
+        ("verify", fx("g3"), "--max-degree", "2"),
+        ("center", fx("g1"), "--degree", "-1"),
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [2, 0, 0]
+    assert in_process == [run_alone(*argv) for argv in calls]
