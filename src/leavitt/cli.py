@@ -237,21 +237,77 @@ def _cmd_verify(args, g: Graph) -> int:
     return 0 if all_ok else 1
 
 
+def _atom_sum(atoms: list, picked: int) -> dict:
+    """Terms of the sum of the atoms whose bits are set in ``picked``."""
+    out: dict = {}
+    for i, e in enumerate(atoms):
+        if picked >> i & 1:
+            for mono, c in e._terms.items():
+                out[mono] = out[mono] + c if mono in out else c
+    return {mono: c for mono, c in out.items() if c}
+
+
 def _boolean_law_failure(g: Graph, one, members: dict, texts: dict) -> str | None:
-    """The first Boolean-algebra law the idempotents break, or None."""
-    for w1 in members:
-        for w2 in members:
-            meet = w1 & w2
-            if meet not in members:
-                return f"family not closed under intersection at {_set_str(g, meet)}"
-            if members[w1] * members[w2] != members[meet]:
-                return f"product law fails for {_set_str(g, w1)} and {_set_str(g, w2)}"
+    """The first Boolean-algebra law the idempotents break, or None.
+
+    The laws are certified from the m atoms, the images of the class
+    supports, with m^2 products and otherwise work linear in the output:
+    the atoms are nonzero orthogonal idempotents summing to 1; every member
+    maps to the sum of the atoms whose supports it contains, and these atom
+    sets run once over all 2^m masks; and, as a vertex set, the member with
+    atom set A is the intersection of the coatoms (the members missing one
+    atom) outside A.  Then any two members multiply to the sum over their
+    common atoms, which is the image of their intersection: the product law
+    for every pair.
+    """
     for w in members:
         comp = perp(g, w)
         if comp not in members:
             return f"complement {_set_str(g, comp)} escapes the family"
         if members[comp] != one - members[w]:
             return f"complement law fails for {_set_str(g, w)}"
+
+    supports = [s.support for s in center_structure(g).summands]
+    for s in supports:
+        if s not in members:
+            return f"class support {_set_str(g, s)} escapes the family"
+    atoms = [members[s] for s in supports]
+    for i, e in enumerate(atoms):
+        if e.is_zero():
+            return f"atom {_set_str(g, supports[i])} maps to 0"
+        for j, f in enumerate(atoms):
+            product = e * f
+            if i == j and product != e:
+                return f"atom {_set_str(g, supports[i])} is not idempotent"
+            if i != j and not product.is_zero():
+                s, t = _set_str(g, supports[i]), _set_str(g, supports[j])
+                return f"atoms {s} and {t} are not orthogonal"
+    m = len(atoms)
+    full = (1 << m) - 1
+    if _atom_sum(atoms, full) != one._terms:
+        return "atoms do not sum to 1"
+
+    # vertex sets as bitsets; atom set A of a member: bit i when it contains support i
+    bits = {w: sum(1 << g.vertex_index(v) for v in w) for w in members}
+    support_bits = [bits[s] for s in supports]
+    by_atoms = {
+        sum(1 << i for i, b in enumerate(support_bits) if not b & ~bits[w]): w for w in members
+    }
+    if len(by_atoms) != len(members) or len(members) != 1 << m:
+        return f"members do not match the 2^{m} atom sets one to one"
+    for picked, w in by_atoms.items():
+        if _atom_sum(atoms, picked) != members[w]._terms:
+            return f"sum law fails for {_set_str(g, w)}"
+
+    coatoms = [bits[by_atoms[full ^ 1 << j]] for j in range(m)]
+    for picked, w in by_atoms.items():
+        meet = (1 << len(g.vertices)) - 1
+        for j, coatom in enumerate(coatoms):
+            if not picked >> j & 1:
+                meet &= coatom
+        if meet != bits[w]:
+            return f"meet law fails for {_set_str(g, w)}"
+
     if len(set(texts.values())) != len(members):
         return "idempotent map is not injective"
     return None

@@ -1,19 +1,46 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import leavitt
-from leavitt.cli import main
+from leavitt import (
+    LeavittAlgebra,
+    finitary_boolean_subalgebra,
+    idempotent,
+    parse_graph,
+    perp,
+)
+from leavitt.cli import _boolean_law_failure, main
 
-from conftest import FIXTURES_DIR
+from conftest import CORPUS_SEED, FIXTURES_DIR
 
 
 def fx(name):
     return str(FIXTURES_DIR / f"{name}.lpa")
+
+
+def fs(*names):
+    return frozenset(names)
+
+
+def fork_text(k):
+    """A root u with one edge to each of k sinks w1..wk: m = k classes."""
+    return (
+        "vertex u\n"
+        + "".join(f"vertex w{i}\n" for i in range(1, k + 1))
+        + "".join(f"edge f{i} u w{i}\n" for i in range(1, k + 1))
+    )
+
+
+def write_fork(tmp_path, k):
+    path = tmp_path / f"fork{k}.lpa"
+    path.write_text(fork_text(k))
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -199,6 +226,161 @@ def test_idempotents_law_failure_exits_1(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: complement law fails for {}\n"
+
+
+def with_complements(*images):
+    """An idempotent map that sends each subset ws of a triple (ws, comp, f)
+    to f(algebra) and its complement comp to one minus that, so the
+    complement law still holds; every other subset keeps its idempotent."""
+    table = {}
+    for ws, comp, f in images:
+        table[ws] = f
+        table[comp] = lambda algebra, f=f: algebra.one() - f(algebra)
+    return lambda algebra, ws: table[ws](algebra) if ws in table else idempotent(algebra, ws)
+
+
+def image_of(*names):
+    return lambda algebra: idempotent(algebra, fs(*names))
+
+
+# each broken map keeps the complement law, so only a later check catches it;
+# on fork-k the complement of a set of sinks is the set of the other sinks
+MUTANTS = [
+    pytest.param(
+        4,
+        with_complements(
+            (fs("w1", "w2"), fs("w3", "w4"), image_of("w1", "w3")),
+            (fs("w1", "w3"), fs("w2", "w4"), image_of("w1", "w2")),
+        ),
+        "sum law fails for {w1,w2}",
+        id="atoms-kept-sums-swapped",
+    ),
+    pytest.param(
+        3,
+        with_complements(
+            (fs("w1"), fs("w2", "w3"), image_of("w1", "w2")),
+            (fs("w1", "w2"), fs("w3"), image_of("w1")),
+        ),
+        "atoms {w1} and {w2} are not orthogonal",
+        id="overlapping-atoms",
+    ),
+    pytest.param(
+        3,
+        with_complements((fs("w1"), fs("w2", "w3"), lambda algebra: image_of("w1")(algebra) * 2)),
+        "atom {w1} is not idempotent",
+        id="doubled-atom",
+    ),
+    pytest.param(
+        3,
+        with_complements((fs("w1"), fs("w2", "w3"), lambda algebra: algebra.zero())),
+        "atom {w1} maps to 0",
+        id="zero-atom",
+    ),
+    pytest.param(
+        3,
+        with_complements(
+            *[
+                (fs(w), fs("w1", "w2", "w3") - {w}, lambda algebra, w=w: algebra.vertex(w))
+                for w in ("w1", "w2", "w3")
+            ]
+        ),
+        "atoms do not sum to 1",
+        id="bare-sink-atoms",
+    ),
+]
+
+
+@pytest.mark.parametrize("k, image, message", MUTANTS)
+def test_idempotents_law_failures_past_the_complement_check(
+    monkeypatch, tmp_path, capsys, k, image, message
+):
+    path = write_fork(tmp_path, k)
+    monkeypatch.setattr("leavitt.cli.idempotent", image)
+    assert run(capsys, "idempotents", path) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "k, dropped, message",
+    [
+        (4, (fs("w1", "w2"), fs("w3", "w4")), "members do not match the 2^4 atom sets one to one"),
+        (3, (fs("w1", "w2"), fs("w3")), "class support {w3} escapes the family"),
+    ],
+    ids=["missing-atom-set", "missing-atom"],
+)
+def test_idempotents_family_missing_a_complement_pair(
+    monkeypatch, tmp_path, capsys, k, dropped, message
+):
+    # a family without one member and its complement still passes the complement law
+    def family(g):
+        return [w for w in finitary_boolean_subalgebra(g) if w not in dropped]
+
+    path = write_fork(tmp_path, k)
+    monkeypatch.setattr("leavitt.cli.finitary_boolean_subalgebra", family)
+    assert run(capsys, "idempotents", path) == (1, "", f"error: {message}\n")
+
+
+def test_atom_certificate_agrees_with_the_pairwise_reference(corpus):
+    # the reference: every pair of members multiplied (4^m products), then
+    # complements, then injectivity
+    def pairwise_failure(g, one, members, texts):
+        for w1 in members:
+            for w2 in members:
+                meet = w1 & w2
+                if meet not in members:
+                    return "meet escapes"
+                if members[w1] * members[w2] != members[meet]:
+                    return "product law"
+        for w in members:
+            comp = perp(g, w)
+            if comp not in members or members[comp] != one - members[w]:
+                return "complement law"
+        if len(set(texts.values())) != len(members):
+            return "not injective"
+        return None
+
+    def swapped(images, g, w1, w2):
+        out = dict(images)
+        out[w1], out[w2] = images[w2], images[w1]
+        c1, c2 = perp(g, w1), perp(g, w2)
+        out[c1], out[c2] = images[c2], images[c1]
+        return out
+
+    rng = random.Random(CORPUS_SEED + 3)
+    forks = [parse_graph(fork_text(k)) for k in range(1, 7)]
+    verdicts = []
+    for g, perturb in [(g, True) for g in corpus] + [(g, False) for g in forks]:
+        alg = LeavittAlgebra(g)
+        one = alg.one()
+        images = {w: idempotent(alg, w) for w in finitary_boolean_subalgebra(g)}
+        variants = [images]
+        if perturb and len(images) > 2:
+            family = list(images)
+            atom = min(family[1:], key=len)
+            variants += [
+                swapped(images, g, *rng.sample(family, 2)),
+                swapped(images, g, *rng.sample(family, 2)),
+                {**images, atom: images[atom] * 2, perp(g, atom): one - images[atom] * 2},
+                {w: one for w in images},
+            ]
+        for members in variants:
+            texts = {w: str(x) for w, x in members.items()}
+            new = _boolean_law_failure(g, one, members, texts)
+            old = pairwise_failure(g, one, members, texts)
+            assert (new is None) == (old is None), (g, new, old)
+            verdicts.append(new is None)
+        assert verdicts[-len(variants)], g  # the true images pass
+    assert False in verdicts  # some variants are caught
+
+
+def test_idempotents_on_a_fork_with_ten_sinks(tmp_path, capsys):
+    # 2^10 members, certified from 10 atoms rather than 4^10 products
+    code, out, err = run(capsys, "idempotents", write_fork(tmp_path, 10))
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert lines[1] == "finitary annihilator subsets: 1024"
+    assert len(lines) == 2 + 2**10
+    sinks = ",".join(f"w{i}" for i in range(1, 11))
+    assert lines[-1] == f"  {{u,{sinks}}} -> u+{sinks.replace(',', '+')}"
 
 
 def test_output_is_deterministic(capsys):

@@ -1,6 +1,7 @@
 """Results of related inputs checked against each other on the seeded corpus:
 another specialization, another scalar field, another declaration order."""
 
+import json
 import random
 
 from leavitt import (
@@ -16,6 +17,7 @@ from leavitt import (
     oracle_bound,
     spans_equal,
 )
+from leavitt.cli import main
 
 from conftest import CORPUS_SEED
 
@@ -70,3 +72,20 @@ def test_declaration_order_does_not_change_the_center(corpus):
             assert center_dimension_predicted(shuffled, d) == dim, (vertices, edges, d)
             oracle = brute_force_center(LeavittAlgebra(shuffled), d, oracle_bound(shuffled, d))
             assert len(oracle) == dim, (vertices, edges, d)
+
+
+def test_idempotents_do_not_depend_on_the_field(corpus, tmp_path, capsys):
+    # the same finitary subsets pass the Boolean-law certificate over every field
+    for n, g in enumerate(corpus):
+        path = tmp_path / f"g{n}.lpa"
+        path.write_text(
+            "".join(f"vertex {v}\n" for v in g.vertices)
+            + "".join(f"edge {e} {s} {t}\n" for e, s, t in g.edges)
+        )
+        subsets = []
+        for field in ("rat", "fp:2", "fp:97"):
+            code = main(["idempotents", str(path), "--json", "--field", field])
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, ""), (n, field)
+            subsets.append([row["vertices"] for row in json.loads(out)["payload"]["subsets"]])
+        assert subsets[0] == subsets[1] == subsets[2], n
