@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .graph import Graph, Path, Specialization, canonical_specialization
+from .graph import _IDENT, Graph, Path, Specialization, canonical_specialization
 
 __all__ = [
     "Rationals",
@@ -229,8 +229,17 @@ class Monomial:
         return f"[{self.left}][{self.right}]"
 
 
-_SIGNED_SCALAR = re.compile(r"[+-]?\d+(?:/\d+)?")
-_IDENT_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# element text: a bracket side is ``@v`` or edge ids; a term is a separator
+# sign (optional on the first term), an optional signed coefficient with an
+# optional ``*``, then two bracket sides or a bare vertex id.  No two ``\s*``
+# are adjacent, so a failed match backtracks in linear time.
+_SIDE = re.compile(
+    rf"\s*(?:(?:@(?P<vertex>{_IDENT.pattern})|(?P<edges>{_IDENT.pattern}(?:\s+{_IDENT.pattern})*))\s*)?"
+)
+_TERM = re.compile(
+    rf"\s*(?:(?P<sign>[+-])\s*)?(?:(?P<coeff>[+-]?\d+(?:/\d+)?)\s*(?:\*\s*)?)?"
+    rf"(?:\[(?P<left>[^\]]*)\]\s*\[(?P<right>[^\]]*)\]|(?P<vertex>{_IDENT.pattern}))\s*"
+)
 
 
 class Element:
@@ -424,14 +433,20 @@ class LeavittAlgebra:
         m = Monomial(g.vertex_path(g.target_of(e)), g.edge_path(e))
         return Element(self, {m: self.field.one})
 
+    def _check_path(self, p: Path) -> None:
+        """Raise unless ``p`` is a path of the graph, stored target included."""
+        target = self.graph.path(p.source, p.edges).target
+        if target != p.target:
+            raise ValueError(f"path {p} ends at {target!r}, not at its stored target {p.target!r}")
+
     def path_element(self, p: Path) -> Element:
-        self.graph.path(p.source, p.edges)  # validate membership
+        self._check_path(p)
         m = Monomial(p, self.graph.vertex_path(p.target))
         return Element(self, {m: self.field.one})
 
     def monomial(self, left: Path, right: Path) -> Monomial:
-        self.graph.path(left.source, left.edges)
-        self.graph.path(right.source, right.edges)
+        self._check_path(left)
+        self._check_path(right)
         if left.target != right.target:
             raise ValueError(
                 f"paths must share a range vertex: {left} ends at {left.target!r}, {right} at {right.target!r}"
@@ -537,114 +552,49 @@ class LeavittAlgebra:
         Each bracket holds whitespace-separated edge ids or ``@v`` for the
         length-0 path at vertex ``v``; a bare vertex id abbreviates its
         vertex monomial; the coefficient (with optional ``*``) defaults to 1.
+        Every term after the first starts with a ``+`` or ``-`` separator.
         """
         g = self.graph
-        zero = self.field.zero
+        if not text.strip():
+            raise ElementSyntaxError("empty element text")
+
+        def side(body: str) -> Path:
+            m = _SIDE.fullmatch(body)
+            if m is None:
+                raise ElementSyntaxError(f"cannot read the path [{body}]")
+            if m["vertex"]:
+                if not g.has_vertex(m["vertex"]):
+                    raise ElementSyntaxError(f"unknown vertex {m['vertex']!r}")
+                return g.vertex_path(m["vertex"])
+            if not m["edges"]:
+                raise ElementSyntaxError("empty bracket: use [@v] for a vertex path")
+            ids = m["edges"].split()
+            try:
+                return g.path(g.source_of(ids[0]), ids)
+            except ValueError as exc:
+                raise ElementSyntaxError(str(exc)) from exc
+
         raw: dict[Monomial, object] = {}
         pos = 0
-        n = len(text)
-
-        def skip_ws() -> None:
-            nonlocal pos
-            while pos < n and text[pos].isspace():
-                pos += 1
-
-        def parse_side() -> Path:
-            nonlocal pos
-            if pos >= n or text[pos] != "[":
-                raise ElementSyntaxError(f"expected '[' at offset {pos}")
-            pos += 1
-            skip_ws()
-            if pos < n and text[pos] == "@":
-                pos += 1
-                m = _IDENT_TOKEN.match(text, pos)
-                if not m:
-                    raise ElementSyntaxError(f"expected a vertex id at offset {pos}")
-                pos = m.end()
-                name = m.group()
-                if not g.has_vertex(name):
-                    raise ElementSyntaxError(f"unknown vertex {name!r}")
-                side = g.vertex_path(name)
-            else:
-                ids = []
-                while True:
-                    skip_ws()
-                    if pos < n and text[pos] == "]":
-                        break
-                    m = _IDENT_TOKEN.match(text, pos)
-                    if not m:
-                        raise ElementSyntaxError(f"expected an edge id or ']' at offset {pos}")
-                    ids.append(m.group())
-                    pos = m.end()
-                if not ids:
-                    raise ElementSyntaxError("empty bracket: use [@v] for a vertex path")
+        while pos < len(text):
+            t = _TERM.match(text, pos)
+            if t is None or (pos and not t["sign"]):
+                raise ElementSyntaxError(f"cannot read a term at offset {pos}")
+            coeff = self.field.one
+            if t["coeff"]:
                 try:
-                    side = g.path(g.source_of(ids[0]), ids)
-                except ValueError as exc:
-                    raise ElementSyntaxError(str(exc)) from exc
-            skip_ws()
-            if pos >= n or text[pos] != "]":
-                raise ElementSyntaxError(f"expected ']' at offset {pos}")
-            pos += 1
-            return side
-
-        skip_ws()
-        if pos == n:
-            raise ElementSyntaxError("empty element text")
-        first = True
-        while pos < n:
-            sign = 1
-            skip_ws()
-            if first:
-                if pos < n and text[pos] in "+-":
-                    sign = -1 if text[pos] == "-" else 1
-                    pos += 1
-                first = False
-            else:
-                if pos >= n:
-                    break
-                if text[pos] == "+":
-                    pos += 1
-                elif text[pos] == "-":
-                    sign = -1
-                    pos += 1
-                else:
-                    raise ElementSyntaxError(f"expected '+' or '-' at offset {pos}")
-            skip_ws()
-            m = _SIGNED_SCALAR.match(text, pos)
-            if m:
-                try:
-                    coeff = self.field.parse_scalar(m.group())
+                    coeff = self.field.parse_scalar(t["coeff"])
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise ElementSyntaxError(f"bad scalar {m.group()!r}: {exc}") from exc
-                pos = m.end()
-                skip_ws()
-                if pos < n and text[pos] == "*":
-                    pos += 1
-                    skip_ws()
+                    raise ElementSyntaxError(f"bad scalar {t['coeff']!r}: {exc}") from exc
+            if t["vertex"]:
+                left = right = side("@" + t["vertex"])
             else:
-                coeff = self.field.one
-            if pos < n and text[pos] == "[":
-                left = parse_side()
-                skip_ws()
-                right = parse_side()
+                left, right = side(t["left"]), side(t["right"])
                 if left.target != right.target:
                     raise ElementSyntaxError(
                         f"paths must share a range vertex: [{left}] ends at {left.target!r}, [{right}] at {right.target!r}"
                     )
-                mono = Monomial(left, right)
-            else:
-                m = _IDENT_TOKEN.match(text, pos)
-                if not m:
-                    raise ElementSyntaxError(f"expected '[' or a vertex id at offset {pos}")
-                name = m.group()
-                pos = m.end()
-                if not g.has_vertex(name):
-                    raise ElementSyntaxError(f"unknown vertex {name!r}")
-                p = g.vertex_path(name)
-                mono = Monomial(p, p)
-            if sign < 0:
-                coeff = -coeff
-            raw[mono] = raw.get(mono, zero) + coeff
-            skip_ws()
+            mono = Monomial(left, right)
+            raw[mono] = raw.get(mono, self.field.zero) + (-coeff if t["sign"] == "-" else coeff)
+            pos = t.end()
         return Element(self, self._normal_form(raw))

@@ -135,7 +135,7 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
     if d == 0:
         for s in report.summands:
             elements.append(idempotent(algebra, s.support))
-            sup = "{" + ",".join(sorted(s.support, key=algebra.graph.vertex_index)) + "}"
+            sup = "{" + ",".join(algebra.graph.sorted_vertices(s.support)) + "}"
             provenance.append(f"idempotent of {sup}")
         return CentralBasis(0, tuple(elements), tuple(provenance))
     for s in report.summands:

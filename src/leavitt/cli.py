@@ -96,7 +96,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _set_str(g: Graph, ws) -> str:
-    return "{" + ",".join(sorted(ws, key=g.vertex_index)) + "}"
+    return "{" + ",".join(g.sorted_vertices(ws)) + "}"
 
 
 def _counted(n: int, singular: str, plural: str) -> str:
@@ -131,11 +131,11 @@ def _cmd_analyze(args, g: Graph) -> int:
     k = len(rep.minimal_sets)
     m = len(rep.summands)
     payload = {
-        "minimal_sets": [sorted(w, key=g.vertex_index) for w in rep.minimal_sets],
+        "minimal_sets": [g.sorted_vertices(w) for w in rep.minimal_sets],
         "classes": [
             {
                 "members": list(s.members),
-                "support": sorted(s.support, key=g.vertex_index),
+                "support": g.sorted_vertices(s.support),
                 "kind": "laurent" if s.is_laurent else "field",
                 "cycle": str(s.cycle) if s.cycle is not None else None,
                 "cycle_length": s.cycle_length,
@@ -329,7 +329,7 @@ def _cmd_idempotents(args, g: Graph) -> int:
         "field": args.field.name,
         "count": len(family),
         "subsets": [
-            {"vertices": sorted(w, key=g.vertex_index), "element": texts[w]}
+            {"vertices": g.sorted_vertices(w), "element": texts[w]}
             for w in family
         ],
     }

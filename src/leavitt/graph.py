@@ -29,7 +29,7 @@ __all__ = [
     "NotACycleError",
 ]
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class GraphError(ValueError):
@@ -334,13 +334,14 @@ def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format.
 
     Lines: ``# comment``, ``vertex <id>``, ``edge <id> <src-vertex> <dst-vertex>``.
-    Blank lines are ignored.  Errors carry 1-based line numbers.
+    Blank lines are ignored.  Lines end at LF, CRLF or CR only (the newlines
+    ``open()`` translates), so errors carry 1-based physical line numbers.
     """
     vertices: list[str] = []
     vset: set[str] = set()
     eset: set[str] = set()
     edges: list[tuple[str, str, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -349,7 +350,7 @@ def parse_graph(text: str) -> Graph:
             if len(tokens) != 2:
                 raise GraphSyntaxError("expected 'vertex <id>'", lineno)
             vid = tokens[1]
-            if not _IDENT.match(vid):
+            if not _IDENT.fullmatch(vid):
                 raise GraphSyntaxError(f"invalid identifier {vid!r}", lineno)
             if vid in vset:
                 raise DuplicateIdError(f"duplicate vertex id {vid!r}", lineno)
@@ -360,7 +361,7 @@ def parse_graph(text: str) -> Graph:
                 raise GraphSyntaxError("expected 'edge <id> <src-vertex> <dst-vertex>'", lineno)
             eid, src, dst = tokens[1:]
             for ident in (eid, src, dst):
-                if not _IDENT.match(ident):
+                if not _IDENT.fullmatch(ident):
                     raise GraphSyntaxError(f"invalid identifier {ident!r}", lineno)
             if eid in eset:
                 raise DuplicateIdError(f"duplicate edge id {eid!r}", lineno)

@@ -1,14 +1,18 @@
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from leavitt import (
     AlgebraMismatchError,
+    Element,
     ElementSyntaxError,
     FpScalar,
     LeavittAlgebra,
     Monomial,
+    Path,
     PrimeField,
     Rationals,
 )
@@ -248,6 +252,256 @@ def test_parse_element_rejects_garbage(g3):
             continue
         with pytest.raises(ElementSyntaxError):
             alg.parse_element(text)
+
+
+# -- differential check of the element reader --------------------------------
+#
+# The character scanner the term regexes replaced, kept verbatim as the
+# reference: the regex reader must accept and reject the same texts, build the
+# same elements, and word every semantic fault the same way.
+
+_REF_SIGNED_SCALAR = re.compile(r"[+-]?\d+(?:/\d+)?")
+_REF_IDENT_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _reference_parse_element(self, text):
+    g = self.graph
+    zero = self.field.zero
+    raw = {}
+    pos = 0
+    n = len(text)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def parse_side():
+        nonlocal pos
+        if pos >= n or text[pos] != "[":
+            raise ElementSyntaxError(f"expected '[' at offset {pos}")
+        pos += 1
+        skip_ws()
+        if pos < n and text[pos] == "@":
+            pos += 1
+            m = _REF_IDENT_TOKEN.match(text, pos)
+            if not m:
+                raise ElementSyntaxError(f"expected a vertex id at offset {pos}")
+            pos = m.end()
+            name = m.group()
+            if not g.has_vertex(name):
+                raise ElementSyntaxError(f"unknown vertex {name!r}")
+            side = g.vertex_path(name)
+        else:
+            ids = []
+            while True:
+                skip_ws()
+                if pos < n and text[pos] == "]":
+                    break
+                m = _REF_IDENT_TOKEN.match(text, pos)
+                if not m:
+                    raise ElementSyntaxError(f"expected an edge id or ']' at offset {pos}")
+                ids.append(m.group())
+                pos = m.end()
+            if not ids:
+                raise ElementSyntaxError("empty bracket: use [@v] for a vertex path")
+            try:
+                side = g.path(g.source_of(ids[0]), ids)
+            except ValueError as exc:
+                raise ElementSyntaxError(str(exc)) from exc
+        skip_ws()
+        if pos >= n or text[pos] != "]":
+            raise ElementSyntaxError(f"expected ']' at offset {pos}")
+        pos += 1
+        return side
+
+    skip_ws()
+    if pos == n:
+        raise ElementSyntaxError("empty element text")
+    first = True
+    while pos < n:
+        sign = 1
+        skip_ws()
+        if first:
+            if pos < n and text[pos] in "+-":
+                sign = -1 if text[pos] == "-" else 1
+                pos += 1
+            first = False
+        else:
+            if pos >= n:
+                break
+            if text[pos] == "+":
+                pos += 1
+            elif text[pos] == "-":
+                sign = -1
+                pos += 1
+            else:
+                raise ElementSyntaxError(f"expected '+' or '-' at offset {pos}")
+        skip_ws()
+        m = _REF_SIGNED_SCALAR.match(text, pos)
+        if m:
+            try:
+                coeff = self.field.parse_scalar(m.group())
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ElementSyntaxError(f"bad scalar {m.group()!r}: {exc}") from exc
+            pos = m.end()
+            skip_ws()
+            if pos < n and text[pos] == "*":
+                pos += 1
+                skip_ws()
+        else:
+            coeff = self.field.one
+        if pos < n and text[pos] == "[":
+            left = parse_side()
+            skip_ws()
+            right = parse_side()
+            if left.target != right.target:
+                raise ElementSyntaxError(
+                    f"paths must share a range vertex: [{left}] ends at {left.target!r}, [{right}] at {right.target!r}"
+                )
+            mono = Monomial(left, right)
+        else:
+            m = _REF_IDENT_TOKEN.match(text, pos)
+            if not m:
+                raise ElementSyntaxError(f"expected '[' or a vertex id at offset {pos}")
+            name = m.group()
+            pos = m.end()
+            if not g.has_vertex(name):
+                raise ElementSyntaxError(f"unknown vertex {name!r}")
+            p = g.vertex_path(name)
+            mono = Monomial(p, p)
+        if sign < 0:
+            coeff = -coeff
+        raw[mono] = raw.get(mono, zero) + coeff
+        skip_ws()
+    return Element(self, self._normal_form(raw))
+
+
+# syntax faults are worded differently by the two readers and may be found
+# before or after a semantic fault in the same term; everything else is semantic
+_SYNTAX_FAULTS = ("expected ", "cannot read ")
+_FUZZ_NAMES = ("v1", "v2", "v3", "v4", "v5", "a", "b2", "b3", "b4", "d", "zz", "x_9")
+_FUZZ_SCALARS = ("0", "1", "3", "12", "-1", "+2", "1/2", "-1/2", "2/4", "3/0", "-3/0", "1/97", "97")
+_FUZZ_GLUE = ("", "", " ", " ", "  ", "\t", "\n", "\x0c")
+_FUZZ_NOISE = ("[", "]", "[]", "@", "+", "-", "*", "**", "/", "3/", "@v1", "@zz", "][", "v1", "a", "3/0")
+
+
+def _fuzz_walk(rng, g, start, backward):
+    edges, at = [], start
+    for _ in range(rng.randint(0, 3)):
+        step = g.in_edges(at) if backward else g.out_edges(at)
+        if not step:
+            break
+        e = rng.choice(step)
+        edges.append(e)
+        at = g.source_of(e) if backward else g.target_of(e)
+    return edges[::-1] if backward else edges, at
+
+
+def _fuzz_side(rng, edges, at):
+    if not edges and rng.random() < 0.9:
+        return ["[", "@" + at, "]"]
+    if rng.random() < 0.1:
+        edges = [rng.choice(_FUZZ_NAMES) for _ in range(rng.randint(0, 2))]
+    return ["[", rng.choice((" ", "  ", "\t")).join(edges), "]"]
+
+
+def _fuzz_text(rng, g):
+    """A seeded element text: well-formed terms, then up to two token edits."""
+    tokens = []
+    for i in range(rng.randint(1, 3)):
+        if i or rng.random() < 0.3:
+            tokens.append(rng.choice("+-") if rng.random() < 0.95 else "")
+        if rng.random() < 0.5:
+            tokens.append(rng.choice(_FUZZ_SCALARS))
+            if rng.random() < 0.5:
+                tokens.append("*")
+        if rng.random() < 0.3:
+            tokens.append(rng.choice(_FUZZ_NAMES))
+            continue
+        left, mid = _fuzz_walk(rng, g, rng.choice(g.vertices), backward=False)
+        right, src = _fuzz_walk(rng, g, mid, backward=True)
+        if rng.random() < 0.1:
+            right, src = _fuzz_walk(rng, g, rng.choice(g.vertices), backward=True)
+        tokens += _fuzz_side(rng, left, mid) + _fuzz_side(rng, right, src)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randrange(len(tokens) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and i < len(tokens):
+            del tokens[i]
+        elif edit == 1:
+            tokens.insert(i, rng.choice(_FUZZ_NOISE + _FUZZ_NAMES + _FUZZ_SCALARS))
+        elif i < len(tokens):
+            tokens[i] = rng.choice(_FUZZ_NOISE)
+    return "".join(tok + rng.choice(_FUZZ_GLUE) for tok in tokens)
+
+
+def _read(parse, alg, text):
+    try:
+        return parse(alg, text), None
+    except ElementSyntaxError as exc:
+        return None, str(exc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_texts(g3):
+    rng = random.Random(20261018)
+    return [_fuzz_text(rng, g3) for _ in range(50_000)]
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(97)], ids=["rat", "fp:97"])
+def test_parse_element_matches_the_reference_scanner(g3, field, fuzz_texts):
+    alg = LeavittAlgebra(g3, field=field)
+    rng = random.Random(909)
+    elements = [x for x in (random_element(rng, alg) for _ in range(500)) if not x.is_zero()]
+    texts = fuzz_texts + [str(x) for x in elements]
+    counts = {"accepted": 0, "semantic": 0, "syntax": 0}
+    for text in texts:
+        want, want_msg = _read(_reference_parse_element, alg, text)
+        got, got_msg = _read(LeavittAlgebra.parse_element, alg, text)
+        assert (got is None) == (want is None), (text, want_msg, got_msg)
+        if want is not None:
+            assert got == want, text
+            counts["accepted"] += 1
+        elif want_msg.startswith(_SYNTAX_FAULTS) or got_msg.startswith(_SYNTAX_FAULTS):
+            counts["syntax"] += 1
+        else:
+            assert got_msg == want_msg, text
+            counts["semantic"] += 1
+    # the generator must reach every outcome often enough to mean something
+    assert counts["accepted"] >= 5_000 and counts["semantic"] >= 5_000, counts
+    for x in elements:
+        assert alg.parse_element(str(x)) == x
+
+
+def test_parse_element_time_is_linear_in_long_faulty_texts(g3):
+    # a regex with two adjacent whitespace runs would take minutes on these
+    alg = LeavittAlgebra(g3)
+    n = 20_000
+    texts = [" " * n + "#", "3" + " " * n + "#", "v1 -" + " " * n + "#", "[" + " " * n + "#][a]",
+             "[" + " a" * n + " #][a]", "[a]" + " " * n + "[a] #", "v5" + "+v5" * n + "+#"]
+    start = time.perf_counter()
+    for text in texts:
+        with pytest.raises(ElementSyntaxError):
+            alg.parse_element(text)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_checked_constructors_compare_the_stored_target(g3):
+    alg = LeavittAlgebra(g3)
+    bad = Path("v1", ("a",), "v5")  # edge a ends at v2
+    at_v5 = g3.vertex_path("v5")
+    with pytest.raises(ValueError, match="ends at 'v2', not at its stored target 'v5'"):
+        alg.monomial(bad, at_v5)
+    with pytest.raises(ValueError, match="'v2'.*'v5'"):
+        alg.monomial(at_v5, bad)
+    with pytest.raises(ValueError, match="'v2'.*'v5'"):
+        alg.element([(Monomial(bad, at_v5), 1)])
+    with pytest.raises(ValueError, match="'v2'.*'v5'"):
+        alg.path_element(bad)
+    a = g3.path("v1", ["a"])
+    m = alg.monomial(a, g3.vertex_path("v2"))
+    assert alg.element([(m, 1)]) == alg.path_element(a) == alg.parse_element("[a][@v2]")
 
 
 def test_str_zero_and_signs(g3):

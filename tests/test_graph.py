@@ -43,6 +43,27 @@ def test_parse_error_line_numbers():
     assert "line 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("odd", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_parse_breaks_lines_only_at_newlines(odd):
+    # an odd separator inside a comment does not start a new line
+    with pytest.raises(DuplicateIdError) as exc:
+        parse_graph(f"# one{odd}two\nvertex a\nvertex a\n")
+    assert exc.value.line == 3
+    # nor does it split one line into two declarations
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(f"vertex a{odd}vertex b\nvertex a\n")
+    assert exc.value.line == 1 and "expected 'vertex <id>'" in str(exc.value)
+
+
+def test_parse_accepts_lf_crlf_and_cr_line_endings():
+    for nl in ("\n", "\r\n", "\r"):
+        g = parse_graph(nl.join(["# g", "vertex a", "vertex b", "edge e a b", ""]))
+        assert g.vertices == ("a", "b") and g.edges == (("e", "a", "b"),)
+        with pytest.raises(DuplicateIdError) as exc:
+            parse_graph(nl.join(["vertex a", "", "vertex a"]))
+        assert exc.value.line == 3
+
+
 def test_parse_rejects_bad_identifiers():
     with pytest.raises(GraphParseError):
         parse_graph("vertex 1v\n")
