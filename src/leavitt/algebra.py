@@ -527,16 +527,15 @@ class LeavittAlgebra:
         q, p2 = m1.right, m2.left
         if p2.length >= q.length:
             if p2.source == q.source and p2.edges[: q.length] == q.edges:
-                mid = Path(q.target, p2.edges[q.length :], p2.target)
                 return Monomial(
-                    Path(m1.left.source, m1.left.edges + mid.edges, mid.target), m2.right
+                    Path(m1.left.source, m1.left.edges + p2.edges[q.length :], p2.target),
+                    m2.right,
                 )
         else:
             if q.source == p2.source and q.edges[: p2.length] == p2.edges:
-                tail = Path(p2.target, q.edges[p2.length :], q.target)
                 return Monomial(
                     m1.left,
-                    Path(m2.right.source, m2.right.edges + tail.edges, tail.target),
+                    Path(m2.right.source, m2.right.edges + q.edges[p2.length :], q.target),
                 )
         return None
 

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .graph import Graph, GraphParseError, parse_graph
-from .hereditary import finitary_boolean_subalgebra, center_structure, perp
+from .hereditary import _mask, finitary_boolean_subalgebra, center_structure, perp
 from .algebra import LeavittAlgebra, PrimeField, Rationals
 from .center import (
     brute_force_center,
@@ -237,16 +237,6 @@ def _cmd_verify(args, g: Graph) -> int:
     return 0 if all_ok else 1
 
 
-def _atom_sum(atoms: list, picked: int) -> dict:
-    """Terms of the sum of the atoms whose bits are set in ``picked``."""
-    out: dict = {}
-    for i, e in enumerate(atoms):
-        if picked >> i & 1:
-            for mono, c in e._terms.items():
-                out[mono] = out[mono] + c if mono in out else c
-    return {mono: c for mono, c in out.items() if c}
-
-
 def _boolean_law_failure(g: Graph, one, members: dict, texts: dict) -> str | None:
     """The first Boolean-algebra law the idempotents break, or None.
 
@@ -284,11 +274,11 @@ def _boolean_law_failure(g: Graph, one, members: dict, texts: dict) -> str | Non
                 return f"atoms {s} and {t} are not orthogonal"
     m = len(atoms)
     full = (1 << m) - 1
-    if _atom_sum(atoms, full) != one._terms:
+    if sum(atoms, one.algebra.zero()) != one:
         return "atoms do not sum to 1"
 
     # vertex sets as bitsets; atom set A of a member: bit i when it contains support i
-    bits = {w: sum(1 << g.vertex_index(v) for v in w) for w in members}
+    bits = {w: _mask(g, w) for w in members}
     support_bits = [bits[s] for s in supports]
     by_atoms = {
         sum(1 << i for i, b in enumerate(support_bits) if not b & ~bits[w]): w for w in members
@@ -296,7 +286,8 @@ def _boolean_law_failure(g: Graph, one, members: dict, texts: dict) -> str | Non
     if len(by_atoms) != len(members) or len(members) != 1 << m:
         return f"members do not match the 2^{m} atom sets one to one"
     for picked, w in by_atoms.items():
-        if _atom_sum(atoms, picked) != members[w]._terms:
+        picked_atoms = (e for i, e in enumerate(atoms) if picked >> i & 1)
+        if sum(picked_atoms, one.algebra.zero()) != members[w]:
             return f"sum law fails for {_set_str(g, w)}"
 
     coatoms = [bits[by_atoms[full ^ 1 << j]] for j in range(m)]

@@ -107,6 +107,11 @@ class Cycle:
         return "(" + " ".join(self.edges) + ")"
 
 
+def _check_ident(x: str, line: int | None = None) -> None:
+    if not _IDENT.fullmatch(x):
+        raise GraphSyntaxError(f"invalid identifier {x!r}", line)
+
+
 class Graph:
     """Immutable finite directed multigraph with declaration-ordered ids.
 
@@ -119,6 +124,7 @@ class Graph:
         self._edges = tuple((e, s, t) for e, s, t in edges)
         seen: set[str] = set()
         for v in self._vertices:
+            _check_ident(v)
             if v in seen:
                 raise DuplicateIdError(f"duplicate vertex id {v!r}")
             seen.add(v)
@@ -129,6 +135,7 @@ class Graph:
         out: dict[str, list[str]] = {v: [] for v in self._vertices}
         inc: dict[str, list[str]] = {v: [] for v in self._vertices}
         for i, (e, s, t) in enumerate(self._edges):
+            _check_ident(e)
             if e in self._eindex:
                 raise DuplicateIdError(f"duplicate edge id {e!r}")
             if s not in self._vindex:
@@ -350,8 +357,7 @@ def parse_graph(text: str) -> Graph:
             if len(tokens) != 2:
                 raise GraphSyntaxError("expected 'vertex <id>'", lineno)
             vid = tokens[1]
-            if not _IDENT.fullmatch(vid):
-                raise GraphSyntaxError(f"invalid identifier {vid!r}", lineno)
+            _check_ident(vid, lineno)
             if vid in vset:
                 raise DuplicateIdError(f"duplicate vertex id {vid!r}", lineno)
             vset.add(vid)
@@ -361,8 +367,7 @@ def parse_graph(text: str) -> Graph:
                 raise GraphSyntaxError("expected 'edge <id> <src-vertex> <dst-vertex>'", lineno)
             eid, src, dst = tokens[1:]
             for ident in (eid, src, dst):
-                if not _IDENT.fullmatch(ident):
-                    raise GraphSyntaxError(f"invalid identifier {ident!r}", lineno)
+                _check_ident(ident, lineno)
             if eid in eset:
                 raise DuplicateIdError(f"duplicate edge id {eid!r}", lineno)
             eset.add(eid)

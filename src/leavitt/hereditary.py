@@ -8,6 +8,7 @@ of the associated Leavitt path algebra.
 Every one of these is a reachability fact about the strongly connected
 components (SCCs) of the graph, so each graph computes its SCCs once, on
 first use, and keeps them with the facts derived from them (``_Index``).
+The SCCs come from Kosaraju's two sweeps, in topological order.
 """
 
 from __future__ import annotations
@@ -175,10 +176,10 @@ def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArriv
         v = g.vertices[(looping & -looping).bit_length() - 1]
         witness = g.cycle(_shortest_path(g, v, (v,)).edges)
         return InfiniteArrivals(witness, _shortest_path(g, v, W))
-    # outside W is acyclic, and Tarjan order puts each vertex after its successors
+    # outside W is acyclic; reverse topological order puts successors first
     tails: dict[str, list[tuple[str, ...]]] = {}
     paths = [g.vertex_path(w) for w in W]
-    for v in sorted(_members(g, outside), key=idx.comp_of.__getitem__):
+    for v in sorted(_members(g, outside), key=idx.comp_of.__getitem__, reverse=True):
         acc: list[tuple[str, ...]] = []
         for e in g.out_edges(v):
             t = g.target_of(e)
@@ -193,71 +194,65 @@ def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArriv
 
 
 def _strong_components(g: Graph) -> list[frozenset[str]]:
-    """Iterative Tarjan over declaration order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[frozenset[str]] = []
-    counter = 0
+    """Kosaraju's two sweeps: the SCCs in topological order.
+
+    In reverse order of finishing a depth-first search, each unplaced vertex
+    lies in an SCC no other unplaced SCC reaches: its unplaced ancestors.
+    """
+    finished: list[str] = []
+    seen: set[str] = set()
     for root in g.vertices:
-        if root in index:
+        if root in seen:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[str, object]] = [(root, iter(g.out_edges(root)))]
+        seen.add(root)
+        work = [(root, iter(g.out_edges(root)))]
         while work:
             v, it = work[-1]
-            advanced = False
-            for e in it:  # type: ignore[attr-defined]
+            for e in it:
                 t = g.target_of(e)
-                if t not in index:
-                    index[t] = low[t] = counter
-                    counter += 1
-                    stack.append(t)
-                    on_stack.add(t)
+                if t not in seen:
+                    seen.add(t)
                     work.append((t, iter(g.out_edges(t))))
-                    advanced = True
                     break
-                if t in on_stack:
-                    low[v] = min(low[v], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                out.append(frozenset(comp))
+            else:
+                work.pop()
+                finished.append(v)
+    out: list[frozenset[str]] = []
+    placed: set[str] = set()
+    for root in reversed(finished):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp = [root]
+        for v in comp:  # grows while it is read
+            for e in g.in_edges(v):
+                s = g.source_of(e)
+                if s not in placed:
+                    placed.add(s)
+                    comp.append(s)
+        out.append(frozenset(comp))
     return out
 
 
 class _Index:
     """The SCCs of one graph and the facts this module derives from them.
 
-    Vertex sets are bitsets (see ``_mask``).  The index keeps only names,
-    ints and frozensets: a reference back to the graph would form a cycle
-    that outlives the graph until the garbage collector runs.
+    SCC ``i`` is the ``i``-th in Kosaraju's topological order, before every
+    SCC it reaches.  Vertex sets are bitsets (see ``_mask``).  The index
+    keeps only names, ints and frozensets: a reference back to the graph
+    would form a cycle that outlives the graph until the garbage collector
+    runs.
     """
 
     def __init__(self, g: Graph):
-        comps = _strong_components(g)  # Tarjan order: each SCC after every SCC it reaches
+        comps = _strong_components(g)
         self.comp_of = {v: i for i, S in enumerate(comps) for v in S}
         bits = [_mask(g, S) for S in comps]
         self.cyclic = 0  # vertices on a cycle
         self.reach_into = bits[:]  # per SCC, the vertices with a path into it
         sinks = []
-        for i in reversed(range(len(comps))):  # every SCC before the SCCs it reaches
-            below = {self.comp_of[g.target_of(e)] for v in comps[i] for e in g.out_edges(v)}
+        for i, S in enumerate(comps):
+            below = {self.comp_of[g.target_of(e)] for v in S for e in g.out_edges(v)}
             if i in below:
                 self.cyclic |= bits[i]
                 below.remove(i)
@@ -346,34 +341,27 @@ def class_support(g: Graph, members: Iterable[int]) -> frozenset[str]:
     return idx.summands[idx.classes.index(cls)].support
 
 
-def _set_key(g: Graph, s: frozenset[str]):
-    return (len(s), tuple(sorted(g.vertex_index(v) for v in s)))
+def _joins(g: Graph, groups: list[tuple[int, ...]]) -> list[frozenset[str]]:
+    """The supports of the 2^n unions of n groups of minimal-set indexes, sorted."""
+    idx = _structure(g)
+    n = len(groups)
+    picks = ({i for j in range(n) if mask >> j & 1 for i in groups[j]} for mask in range(1 << n))
+    members = {idx.support(g, picked) for picked in picks}
+    if len(members) != 1 << n:
+        raise AssertionError(f"the Boolean algebra must have exactly 2^{n} members")
+    return sorted(members, key=lambda s: (len(s), sorted(map(g.vertex_index, s))))
 
 
 def annihilator_boolean_algebra(g: Graph) -> list[frozenset[str]]:
     """All annihilator hereditary subsets: double annihilators of unions of
     minimal sets.  Exactly 2^k of them."""
-    idx = _structure(g)
-    k = len(idx.minimal)
-    members = {idx.support(g, {i for i in range(k) if mask >> i & 1}) for mask in range(1 << k)}
-    if len(members) != 1 << k:
-        raise AssertionError("annihilator algebra must have exactly 2^k members")
-    return sorted(members, key=lambda s: _set_key(g, s))
+    return _joins(g, [(i,) for i in range(len(_structure(g).minimal))])
 
 
 def finitary_boolean_subalgebra(g: Graph) -> list[frozenset[str]]:
     """All finitary annihilator hereditary subsets: Boolean joins of the class
     supports.  Exactly 2^m of them."""
-    idx = _structure(g)
-    classes = idx.classes
-    m = len(classes)
-    members = set()
-    for mask in range(1 << m):
-        picked = {i for j in range(m) if mask >> j & 1 for i in classes[j]}
-        members.add(idx.support(g, picked))
-    if len(members) != 1 << m:
-        raise AssertionError("finitary subalgebra must have exactly 2^m members")
-    return sorted(members, key=lambda s: _set_key(g, s))
+    return _joins(g, _structure(g).classes)
 
 
 @dataclass(frozen=True)
@@ -421,15 +409,7 @@ def _ne_cycle_covering(g: Graph, W: frozenset[str]) -> Cycle | None:
     if any(len(g.out_edges(v)) != 1 for v in W):
         return None
     start = min(W, key=g.vertex_index)
-    edges = []
-    v = start
-    while True:
-        e = g.out_edges(v)[0]
-        edges.append(e)
-        v = g.target_of(e)
-        if v == start:
-            break
-    c = g.cycle(tuple(edges))
+    c = g.cycle(_shortest_path(g, start, (start,)).edges)
     if c.vertex_set != W:
         raise AssertionError("terminal component is not covered by its cycle")
     return c

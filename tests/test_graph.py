@@ -3,6 +3,7 @@ import pytest
 from leavitt import (
     DuplicateIdError,
     GraphParseError,
+    GraphSyntaxError,
     NotACycleError,
     Path,
     UnknownEdgeError,
@@ -96,6 +97,16 @@ def test_graph_constructor_validates():
         Graph(("v1",), (("e", "v1", "v2"),))
     with pytest.raises(DuplicateIdError):
         Graph(("v1", "v1"), ())
+    # the identifier rule of parse_graph, without a line number
+    for vertices, edges, bad in [
+        (["a b", "x,y"], [("e 1", "a b", "x,y")], "a b"),
+        (["v1", ""], [], ""),
+        (["v1"], [("e 1", "v1", "v1")], "e 1"),
+        (["v1", "x,y"], [("e", "v1", "x,y")], "x,y"),
+    ]:
+        with pytest.raises(GraphSyntaxError, match=f"^invalid identifier {bad!r}$") as info:
+            Graph(vertices, edges)
+        assert info.value.line is None
 
 
 def test_path_factories(g3):

@@ -8,6 +8,7 @@ import pytest
 
 from leavitt import (
     FiniteArrivals,
+    Graph,
     InfiniteArrivals,
     NotHereditaryError,
     annihilator_boolean_algebra,
@@ -23,6 +24,7 @@ from leavitt import (
     perp,
 )
 from leavitt.cli import main
+from leavitt.hereditary import _strong_components
 
 from oracles import (
     brute_arrival_paths,
@@ -30,6 +32,7 @@ from oracles import (
     brute_is_finitary,
     brute_minimal_hereditary,
     brute_perp,
+    brute_reaches,
     hereditary_subsets,
     random_graph,
 )
@@ -327,3 +330,26 @@ def test_cached_results_are_not_shared_with_callers(g3):
     classes.append((7,))
     assert minimal_hereditary_sets(g3) == [fs("v2", "v3", "v4"), fs("v5")]
     assert equivalence_classes(g3) == [(0,), (1,)]
+
+
+def test_strong_components_are_reachability_classes_in_topological_order(corpus):
+    rng = random.Random(808)
+    for g in corpus + [random_graph(rng, 40, 80) for _ in range(50)]:
+        comps = _strong_components(g)
+        pairs = brute_reaches(g)
+        mutual = {
+            frozenset(u for u in g.vertices if (u, v) in pairs and (v, u) in pairs)
+            for v in g.vertices
+        }
+        assert len(comps) == len(mutual) and set(comps) == mutual
+        comp_of = {v: i for i, S in enumerate(comps) for v in S}
+        for e in g.edge_ids():
+            assert comp_of[g.source_of(e)] <= comp_of[g.target_of(e)]
+
+    # iterative sweeps: no recursion limit on a long cycle or a long chain
+    n = 3000
+    names = [f"c{i}" for i in range(n)]
+    ring = Graph(names, [(f"e{i}", names[i], names[(i + 1) % n]) for i in range(n)])
+    assert _strong_components(ring) == [frozenset(names)]
+    chain = Graph(names, [(f"e{i}", names[i], names[i + 1]) for i in range(n - 1)])
+    assert _strong_components(chain) == [frozenset((v,)) for v in names]
