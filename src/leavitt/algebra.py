@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 from .graph import _IDENT, Graph, Path, Specialization, canonical_specialization
 
@@ -202,9 +202,10 @@ class PrimeField:
 # -- monomials and elements -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Product ``left * right^*`` of two paths ending at the same vertex."""
+class Monomial(NamedTuple):
+    """Product ``left * right^*`` of two paths ending at the same vertex.
+
+    A named tuple of its two paths, like ``Path``."""
 
     left: Path
     right: Path
@@ -525,17 +526,18 @@ class LeavittAlgebra:
         other; the overlap telescopes away.
         """
         q, p2 = m1.right, m2.left
-        if p2.length >= q.length:
-            if p2.source == q.source and p2.edges[: q.length] == q.edges:
+        nq, np2 = len(q.edges), len(p2.edges)
+        if np2 >= nq:
+            if p2.source == q.source and p2.edges[:nq] == q.edges:
                 return Monomial(
-                    Path(m1.left.source, m1.left.edges + p2.edges[q.length :], p2.target),
+                    Path(m1.left.source, m1.left.edges + p2.edges[nq:], p2.target),
                     m2.right,
                 )
         else:
-            if q.source == p2.source and q.edges[: p2.length] == p2.edges:
+            if q.source == p2.source and q.edges[:np2] == p2.edges:
                 return Monomial(
                     m1.left,
-                    Path(m2.right.source, m2.right.edges + q.edges[p2.length :], q.target),
+                    Path(m2.right.source, m2.right.edges + q.edges[np2:], q.target),
                 )
         return None
 

@@ -4,7 +4,11 @@ The constructive side builds central idempotents from arrival paths into
 finitary hereditary subsets and graded basis elements from cycle powers
 conjugated out over those arrivals.  ``brute_force_center`` knows none of
 that theory: it solves the linear commutation constraints directly over the
-monomial basis and is used to validate the construction.
+monomial basis and is used to validate the construction.  Most of its
+commutator rows have one entry, or one once the columns forced to zero are
+dropped, so ``_nullspace`` sets the forced columns aside and eliminates only
+the rest.  A forced column's row in the unique reduced row echelon form is
+its unit vector, so the rest of that form, and the basis, do not change.
 """
 
 from __future__ import annotations
@@ -222,9 +226,34 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
 
 
 def _nullspace(rows: list[dict], ncols: int, field) -> list[dict]:
-    """Basis of the solution space of rows * x = 0, columns 0..ncols-1."""
-    reduced, pivots = _row_reduce(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the solution space of rows * x = 0, columns 0..ncols-1.
+
+    Rows hold nonzero entries only.  A row with one entry forces its column
+    to 0, and so does a row left with one entry once the forced columns are
+    dropped; this repeats, with no scalar arithmetic, until no new column is
+    forced.  Only the rest of the system is eliminated, and no forced column
+    is free.  The basis is the one that eliminating the whole system gives:
+    a forced column's row in the unique reduced row echelon form is its unit
+    vector, so the other rows of that form are the form of the rest, and
+    every basis vector is unchanged.
+    """
+    forced: set = set()
+    while True:
+        rest, newly = [], set()
+        for row in rows:
+            live = [c for c in row if c not in forced]
+            if len(live) == 1:
+                newly.add(live[0])
+            elif live:
+                rest.append(row)
+        if not newly:
+            break
+        forced |= newly
+        rows = rest
+    reduced, pivots = _row_reduce(
+        [{c: v for c, v in row.items() if c not in forced} for row in rest], field
+    )
+    free = [c for c in range(ncols) if c not in pivots and c not in forced]
     basis = []
     for f in free:
         vec = {f: field.one}
@@ -314,11 +343,13 @@ def brute_force_center(
         # commutator NF(m gen) - NF(gen m) is the NF of the raw difference.
         for e in _touching_edges(g, m):
             for gi, gen in gens[e]:
-                raw = {}
                 mg = product(m, gen)
+                gm = product(gen, m)
+                if mg is None and gm is None:
+                    continue
+                raw = {}
                 if mg is not None:
                     raw[mg] = one
-                gm = product(gen, m)
                 if gm is not None:
                     raw[gm] = raw.get(gm, zero) - one
                 # each (m, gen) pair is visited once, so no entry is written twice

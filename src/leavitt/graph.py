@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Graph",
@@ -64,9 +64,12 @@ class NotACycleError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class Path:
-    """A vertex (length 0) or a composable edge sequence in a fixed graph."""
+class Path(NamedTuple):
+    """A vertex (length 0) or a composable edge sequence in a fixed graph.
+
+    A named tuple, so hashing and equality run in C; ``len(p)`` is 3, the
+    number of fields, and the path length is ``p.length``.
+    """
 
     source: str
     edges: tuple[str, ...]

@@ -83,6 +83,9 @@ class InfiniteArrivals:
 
 
 def _as_vertex_set(g: Graph, ws: Iterable[str]) -> frozenset[str]:
+    if isinstance(ws, str):
+        # a string is an iterable of its characters, never a vertex set
+        raise TypeError(f"expected a collection of vertex ids, not the string {ws!r}")
     W = frozenset(ws)
     for v in W:
         if not g.has_vertex(v):

@@ -126,6 +126,24 @@ def test_involution(g3):
         assert x.star().star() == x
 
 
+def test_monomial_is_an_immutable_named_tuple(g3):
+    a, v2 = g3.path("v1", ["a"]), g3.vertex_path("v2")
+    m = Monomial(a, v2)
+    with pytest.raises(AttributeError):
+        m.left = v2
+    same = Monomial(Path("v1", ("a",), "v2"), Path("v2", (), "v2"))
+    assert m == same and hash(m) == hash(same)
+    assert repr(m) == (
+        "Monomial(left=Path(source='v1', edges=('a',), target='v2'), "
+        "right=Path(source='v2', edges=(), target='v2'))"
+    )
+    assert (m.degree, m.size) == (1, 1)
+    assert m.star() == Monomial(v2, a) and (m.star().degree, m.star().size) == (-1, 1)
+    ab = Monomial(g3.path("v1", ["a", "b2"]), g3.path("v3", ["b3", "b4", "b2"]))
+    assert (ab.degree, ab.size) == (-1, 5)
+    assert str(m) == "[a][@v2]" and str(Monomial(v2, v2)) == "v2"
+
+
 def test_degree_component(g1):
     alg = LeavittAlgebra(g1)
     a = alg.edge("c") + alg.vertex("v1")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +29,7 @@ from leavitt import (
     spans_equal,
 )
 
-from leavitt.center import _nullspace, _touching_edges
+from leavitt.center import _nullspace, _row_reduce, _touching_edges
 
 from oracles import random_graph
 
@@ -285,10 +286,26 @@ def _paths_by_ends(g, max_len):
     return groups
 
 
+def _plain_nullspace(rows, ncols, field):
+    """Null space by eliminating the whole system, with no columns set aside:
+    the unique reduced row echelon form, then one basis vector per free
+    column."""
+    reduced, pivots = _row_reduce(rows, field)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = {f: field.one}
+        for col, idx in pivots.items():
+            coeff = reduced[idx].get(f)
+            if coeff:
+                vec[col] = -coeff
+        basis.append(vec)
+    return basis
+
+
 def _reference_oracle(alg, d, max_support):
     """The oracle with its rows built by Element arithmetic: x * gen - gen * x
     for every candidate x and every one of the 2|E| edge and edge-star
-    generators, followed by the same null space."""
+    generators, followed by a plain null space."""
     g, field = alg.graph, alg.field
     paths = [p for group in _paths_by_ends(g, (max_support + abs(d)) // 2).values() for p in group]
     pairs = (Monomial(p, q) for p in paths for q in paths)
@@ -310,7 +327,7 @@ def _reference_oracle(alg, d, max_support):
         for gi, gen in enumerate(gens):
             for out, c in (x * gen - gen * x)._terms.items():
                 rows.setdefault((gi, out), {})[i] = c
-    kernel = _nullspace(list(rows.values()), len(candidates), field)
+    kernel = _plain_nullspace(list(rows.values()), len(candidates), field)
     return [Element(alg, {candidates[i]: c for i, c in vec.items()}) for vec in kernel]
 
 
@@ -337,6 +354,45 @@ def test_oracle_rows_from_monomial_products_match_element_arithmetic(chain_loop,
                 bound = oracle_bound(g, d)
                 got = [str(e) for e in brute_force_center(alg, d, bound)]
                 assert got == [str(e) for e in _reference_oracle(alg, d, bound)], (g, alg, d)
+
+
+def _random_system(rng, field):
+    """A sparse system with a chain of forcing rows, random rows, empty and
+    duplicate rows, and columns that no row mentions.
+
+    The chain {c0}, {c0, c1}, ..., {c(k-1), ck} is on columns of its own, so
+    setting forced columns aside takes k + 1 >= 3 rounds to reach ck."""
+    if isinstance(field, Rationals):
+        entry = lambda: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+    else:
+        entry = lambda: field.coerce(rng.randrange(1, field.p))
+    chain_len = rng.randint(3, 5)
+    width = rng.randint(2, 10)
+    unused = rng.randint(0, 3)
+    cols = list(range(chain_len + width + unused))
+    rng.shuffle(cols)
+    chain, shared = cols[:chain_len], cols[chain_len : chain_len + width]
+    rows = [{chain[0]: entry()}]
+    rows += [{a: entry(), b: entry()} for a, b in zip(chain, chain[1:])]
+    for _ in range(rng.randint(0, 2 * width)):
+        k = rng.choice([1, 2, 2, 2, 3, 4])
+        rows.append({c: entry() for c in rng.sample(shared, min(k, width))})
+    rows += [{} for _ in range(rng.randint(0, 2))]
+    rows += [dict(rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return rows, len(cols)
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(97)], ids=lambda f: f.name)
+def test_nullspace_presolve_matches_plain_elimination(field):
+    # setting forced columns aside must give the very basis that eliminating
+    # the whole system gives: the same vectors in the same order
+    for ncols in range(4):
+        assert _nullspace([], ncols, field) == _plain_nullspace([], ncols, field)
+    rng = random.Random(91)
+    for _ in range(400):
+        rows, ncols = _random_system(rng, field)
+        assert _nullspace(rows, ncols, field) == _plain_nullspace(rows, ncols, field), (rows, ncols)
 
 
 def test_touching_edges_cover_every_nonzero_generator_product(chain_loop, fork_loops, corpus):

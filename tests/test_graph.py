@@ -212,3 +212,15 @@ def test_graph_value_semantics():
     assert a == b and hash(a) == hash(b)
     c = parse_graph("vertex v\n")
     assert a != c
+
+
+def test_path_is_an_immutable_named_tuple(g3):
+    p = g3.path("v1", ["a"])
+    with pytest.raises(AttributeError):
+        p.source = "v2"
+    same = Path("v1", ("a",), "v2")
+    assert p == same and hash(p) == hash(same)
+    assert repr(p) == "Path(source='v1', edges=('a',), target='v2')"
+    # len() counts the three fields; the path length is a property
+    assert len(p) == 3 and p.length == 1 and g3.path("v1", ["a", "b2"]).length == 2
+    assert g3.vertex_path("v2").length == 0

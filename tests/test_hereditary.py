@@ -63,6 +63,17 @@ def test_perp_fixture_values(g3):
     assert perp(g3, fs("v1")) == fs("v2", "v3", "v4", "v5")
 
 
+def test_bare_string_is_not_read_as_a_vertex_set(g3):
+    with pytest.raises(TypeError, match="^expected a collection of vertex ids, not the string 'v1'$"):
+        perp(g3, "v1")
+    # "ab" names a vertex, and its characters name two others
+    g = parse_graph("vertex a\nvertex b\nvertex ab\nedge e ab a\n")
+    assert perp(g, ["ab"]) == fs("a", "b")
+    for check in (perp, is_hereditary, is_finitary, arrival_paths):
+        with pytest.raises(TypeError, match="not the string 'ab'$"):
+            check(g, "ab")
+
+
 def test_perp_against_closure_oracle():
     rng = random.Random(303)
     for _ in range(50):
