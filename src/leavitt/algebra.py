@@ -65,6 +65,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class Rationals:
     """Exact rational scalars with arbitrary precision."""
 
@@ -84,15 +85,6 @@ class Rationals:
 
     def format_scalar(self, x: Fraction) -> str:
         return str(x)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Rationals)
-
-    def __hash__(self) -> int:
-        return hash("leavitt.Rationals")
-
-    def __repr__(self) -> str:
-        return "Rationals()"
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -220,12 +221,12 @@ def test_idempotents_trivial_family(capsys):
 
 
 def test_idempotents_law_failure_exits_1(monkeypatch, capsys):
-    # every subset mapped to 1 breaks the complement law
+    # every subset mapped to 1 makes the two atoms overlap
     monkeypatch.setattr("leavitt.cli.idempotent", lambda algebra, ws: algebra.one())
     code, out, err = run(capsys, "idempotents", fx("g3"))
     assert code == 1
     assert out == ""
-    assert err == "error: complement law fails for {}\n"
+    assert err == "error: atoms {v2,v3,v4} and {v5} are not orthogonal\n"
 
 
 def with_complements(*images):
@@ -243,8 +244,9 @@ def image_of(*names):
     return lambda algebra: idempotent(algebra, fs(*names))
 
 
-# each broken map keeps the complement law, so only a later check catches it;
-# on fork-k the complement of a set of sinks is the set of the other sinks
+# each broken map keeps 1 - image(w) as the image of perp(w), so the element
+# complement law holds and only the atom checks catch it; on fork-k the
+# complement of a set of sinks is the set of the other sinks
 MUTANTS = [
     pytest.param(
         4,
@@ -299,14 +301,18 @@ def test_idempotents_law_failures_past_the_complement_check(
     assert run(capsys, "idempotents", path) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize(
-    "k, dropped, message",
-    [
-        (4, (fs("w1", "w2"), fs("w3", "w4")), "members do not match the 2^4 atom sets one to one"),
-        (3, (fs("w1", "w2"), fs("w3")), "class support {w3} escapes the family"),
-    ],
-    ids=["missing-atom-set", "missing-atom"],
-)
+FAMILY_MUTANTS = [
+    pytest.param(
+        4,
+        (fs("w1", "w2"), fs("w3", "w4")),
+        "members do not match the 2^4 atom sets one to one",
+        id="missing-atom-set",
+    ),
+    pytest.param(3, (fs("w1", "w2"), fs("w3")), "class support {w3} escapes the family", id="missing-atom"),
+]
+
+
+@pytest.mark.parametrize("k, dropped, message", FAMILY_MUTANTS)
 def test_idempotents_family_missing_a_complement_pair(
     monkeypatch, tmp_path, capsys, k, dropped, message
 ):
@@ -317,6 +323,53 @@ def test_idempotents_family_missing_a_complement_pair(
     path = write_fork(tmp_path, k)
     monkeypatch.setattr("leavitt.cli.finitary_boolean_subalgebra", family)
     assert run(capsys, "idempotents", path) == (1, "", f"error: {message}\n")
+
+
+# the laws read on vertex sets, which no broken image map can reach
+VERTEX_SET_MUTANTS = [
+    pytest.param(
+        3,
+        {"perp": lambda g, ws: fs("w3") if ws == fs("w1") else perp(g, ws)},
+        "complement law fails for {w1}",
+        id="wrong-complement",
+    ),
+    pytest.param(
+        2,
+        {
+            # {u} stands in for {}: no atom, image 0, complement the top
+            "finitary_boolean_subalgebra": lambda g: [
+                w or fs("u") for w in finitary_boolean_subalgebra(g)
+            ],
+            "idempotent": lambda algebra, ws: (
+                algebra.zero() if ws == fs("u") else idempotent(algebra, ws)
+            ),
+            "perp": lambda g, ws: (
+                {fs("u"): fs("u", "w1", "w2"), fs("u", "w1", "w2"): fs("u")}.get(ws) or perp(g, ws)
+            ),
+        },
+        "meet law fails for {u}",
+        id="bottom-not-a-meet",
+    ),
+]
+
+
+@pytest.mark.parametrize("k, patches, message", VERTEX_SET_MUTANTS)
+def test_idempotents_vertex_set_law_failures(monkeypatch, tmp_path, capsys, k, patches, message):
+    path = write_fork(tmp_path, k)
+    for name, value in patches.items():
+        monkeypatch.setattr(f"leavitt.cli.{name}", value)
+    assert run(capsys, "idempotents", path) == (1, "", f"error: {message}\n")
+
+
+def test_readme_lists_every_law_failure_line():
+    # README writes a vertex set as {…} and the number of atoms as m
+    readme = (FIXTURES_DIR.parent.parent / "README.md").read_text()
+    [block] = re.findall(r"^```\n(error: .*?)^```$", readme, re.M | re.S)
+    produced = {
+        re.sub(r"2\^\d+", "2^m", re.sub(r"\{[^}]*\}", "{…}", f"error: {param.values[-1]}"))
+        for param in MUTANTS + FAMILY_MUTANTS + VERTEX_SET_MUTANTS
+    }
+    assert set(block.splitlines()) == produced
 
 
 def test_atom_certificate_agrees_with_the_pairwise_reference(corpus):
@@ -364,7 +417,7 @@ def test_atom_certificate_agrees_with_the_pairwise_reference(corpus):
             ]
         for members in variants:
             texts = {w: str(x) for w, x in members.items()}
-            new = _boolean_law_failure(g, one, members, texts)
+            new = _boolean_law_failure(g, one, members)
             old = pairwise_failure(g, one, members, texts)
             assert (new is None) == (old is None), (g, new, old)
             verdicts.append(new is None)
@@ -411,6 +464,13 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "UTF-8" in err
+
+
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    text = pathlib.Path(fx("g3")).read_bytes()
+    bom = tmp_path / "bom.lpa"
+    bom.write_bytes(b"\xef\xbb\xbf" + text)
+    assert run(capsys, "analyze", str(bom)) == run(capsys, "analyze", fx("g3"))
 
 
 def test_parse_error_reports_line_number(tmp_path, capsys):
