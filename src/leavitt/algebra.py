@@ -1,11 +1,13 @@
 """Exact symbolic arithmetic in the Leavitt path algebra of a finite graph.
 
 Elements are linear combinations of monomials ``left * right^*`` (two paths
-with a common range vertex) over the rationals or a prime field.  A fixed
-specialization -- one chosen "special" edge per non-sink vertex -- induces a
-monomial basis: a monomial is basic unless both paths end with the same
-special edge.  All arithmetic keeps elements in that basis, and everything
-is exact.
+with a common range vertex) over the rationals or a prime field.  Scalars
+are plain numbers: ints, with a ``Fraction`` only where elimination divides,
+or residues in [0, p); the field object alone reduces and inverts them.  A
+fixed specialization -- one chosen "special" edge per non-sink vertex --
+induces a monomial basis: a monomial is basic unless both paths end with the
+same special edge.  All arithmetic keeps elements in that basis, and
+everything is exact.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .graph import _IDENT, Graph, Path, Specialization, canonical_specialization
 __all__ = [
     "Rationals",
     "PrimeField",
-    "FpScalar",
     "Monomial",
     "Element",
     "LeavittAlgebra",
@@ -65,89 +66,46 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _exact(q: Fraction):
+    """``q`` as an int when it is integral, else ``q`` itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class Rationals:
-    """Exact rational scalars with arbitrary precision."""
+    """Exact rational scalars: ints, and ``Fraction``s where elimination divides."""
 
     name = "rat"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
+    def coerce(self, x):
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)  # a bool becomes 0 or 1
+        if isinstance(x, Fraction):
+            return _exact(x)
         raise TypeError(f"cannot coerce {x!r} to a rational scalar")
 
-    def parse_scalar(self, token: str) -> Fraction:
-        return Fraction(token)
+    def reduce(self, x):
+        return x
 
-    def format_scalar(self, x: Fraction) -> str:
+    def inverse(self, x):
+        return _exact(1 / Fraction(x))
+
+    def parse_scalar(self, token: str):
+        return _exact(Fraction(token))
+
+    def format_scalar(self, x) -> str:
         return str(x)
 
 
 @dataclass(frozen=True)
-class FpScalar:
-    """A residue in Z/p."""
-
-    value: int
-    p: int
-
-    def _lift(self, other) -> "FpScalar":
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise AlgebraMismatchError("scalars from different prime fields")
-            return other
-        if isinstance(other, int):
-            return FpScalar(other % self.p, self.p)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar((self.value + other.value) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar((self.value - other.value) % self.p, self.p)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value * other.value % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return FpScalar(self.value * pow(other.value, -1, self.p) % self.p, self.p)
-
-    def __neg__(self):
-        return FpScalar(-self.value % self.p, self.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
 class PrimeField:
-    """Scalars modulo a prime p <= 2^31."""
+    """Scalars modulo a prime p <= 2^31, held as the residues 0 <= x < p."""
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if not (2 <= self.p <= 2**31 and _is_prime(self.p)):
@@ -157,38 +115,31 @@ class PrimeField:
     def name(self) -> str:
         return f"fp:{self.p}"
 
-    @property
-    def zero(self) -> FpScalar:
-        return FpScalar(0, self.p)
-
-    @property
-    def one(self) -> FpScalar:
-        return FpScalar(1, self.p)
-
-    def coerce(self, x) -> FpScalar:
-        if isinstance(x, FpScalar):
-            if x.p != self.p:
-                raise AlgebraMismatchError("scalar from a different prime field")
-            return x
+    def coerce(self, x) -> int:
         if isinstance(x, int):
-            return FpScalar(x % self.p, self.p)
+            return x % self.p
         if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return FpScalar(
-                x.numerator * pow(x.denominator, -1, self.p) % self.p, self.p
-            )
+            return x.numerator * self.inverse(x.denominator) % self.p
         raise TypeError(f"cannot coerce {x!r} into Z/{self.p}")
 
-    def parse_scalar(self, token: str) -> FpScalar:
+    def reduce(self, x: int) -> int:
+        return x % self.p
+
+    def inverse(self, x: int) -> int:
+        if x % self.p == 0:
+            raise ZeroDivisionError("division by zero in prime field")
+        return pow(x, -1, self.p)
+
+    def parse_scalar(self, token: str) -> int:
+        # numerator and denominator are each reduced first, so p/p is 0/0, not 1
         num, slash, den = token.partition("/")
         value = self.coerce(int(num))
         if slash:
-            value = value / self.coerce(int(den))
+            value = value * self.inverse(int(den)) % self.p
         return value
 
-    def format_scalar(self, x: FpScalar) -> str:
-        return str(x.value)
+    def format_scalar(self, x: int) -> str:
+        return str(x)
 
 
 # -- monomials and elements -------------------------------------------------
@@ -271,9 +222,9 @@ class Element:
             return NotImplemented
         self._require_same(other)
         terms = dict(self._terms)
-        zero = self.algebra.field.zero
+        red = self.algebra.field.reduce
         for m, c in other._terms.items():
-            total = terms.get(m, zero) + c
+            total = red(terms.get(m, 0) + c)
             if total:
                 terms[m] = total
             else:
@@ -286,20 +237,20 @@ class Element:
         return self + (-other)
 
     def __neg__(self):
-        return Element(self.algebra, {m: -c for m, c in self._terms.items()})
+        red = self.algebra.field.reduce
+        return Element(self.algebra, {m: red(-c) for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._require_same(other)
             alg = self.algebra
-            zero = alg.field.zero
             raw: dict[Monomial, object] = {}
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
                     m = alg._monomial_product(m1, m2)
                     if m is None:
                         continue
-                    raw[m] = raw.get(m, zero) + c1 * c2
+                    raw[m] = raw.get(m, 0) + c1 * c2
             return Element(alg, alg._normal_form(raw))
         try:
             c = self.algebra.field.coerce(other)
@@ -307,7 +258,8 @@ class Element:
             return NotImplemented
         if not c:
             return self.algebra.zero()
-        return Element(self.algebra, {m: v * c for m, v in self._terms.items()})
+        red = self.algebra.field.reduce
+        return Element(self.algebra, {m: red(v * c) for m, v in self._terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -448,11 +400,10 @@ class LeavittAlgebra:
 
     def element(self, terms: Iterable[tuple[Monomial, object]]) -> Element:
         """Normal form of a formal combination of path-pair monomials."""
-        zero = self.field.zero
         raw: dict[Monomial, object] = {}
         for m, c in terms:
             self.monomial(m.left, m.right)  # validate
-            raw[m] = raw.get(m, zero) + self.field.coerce(c)
+            raw[m] = raw.get(m, 0) + self.field.coerce(c)
         return Element(self, self._normal_form(raw))
 
     def generators(self) -> list[Element]:
@@ -474,9 +425,12 @@ class LeavittAlgebra:
         A monomial whose paths share a special last edge is expanded through
         the vertex relation at that edge's source; the expansion strictly
         shortens one branch and the other branches are already basic, so the
-        loop terminates.
+        loop terminates.  The coefficients of ``raw`` may be unreduced sums and
+        products of scalars: each stored total goes through ``field.reduce``,
+        so the output holds canonical nonzero scalars.
         """
         g = self.graph
+        red = self.field.reduce
         out: dict[Monomial, object] = {}
         stack = list(raw.items())
         while stack:
@@ -485,7 +439,7 @@ class LeavittAlgebra:
                 continue
             if self.is_basic(m):
                 acc = out.get(m)
-                total = c if acc is None else acc + c
+                total = red(c if acc is None else acc + c)
                 if total:
                     out[m] = total
                 elif acc is not None:
@@ -588,6 +542,6 @@ class LeavittAlgebra:
                         f"paths must share a range vertex: [{left}] ends at {left.target!r}, [{right}] at {right.target!r}"
                     )
             mono = Monomial(left, right)
-            raw[mono] = raw.get(mono, self.field.zero) + (-coeff if t["sign"] == "-" else coeff)
+            raw[mono] = raw.get(mono, 0) + (-coeff if t["sign"] == "-" else coeff)
             pos = t.end()
         return Element(self, self._normal_form(raw))

@@ -189,7 +189,7 @@ def oracle_bound(graph: Graph, d: int) -> int:
 
 def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
     """Sparse reduced row echelon form.  Returns (rows, pivot column -> row index)."""
-    zero = field.zero
+    red = field.reduce
     pivots: dict = {}
     reduced: list[dict] = []
     for row in rows:
@@ -201,7 +201,7 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
             if not lead:
                 continue
             for c2, v2 in reduced[pivots[c]].items():
-                total = row.get(c2, zero) - lead * v2
+                total = red(row.get(c2, 0) - lead * v2)
                 if total:
                     row[c2] = total
                 else:
@@ -209,13 +209,13 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
         if not row:
             continue
         col = min(row)
-        inv = field.one / row[col]
-        row = {c: v * inv for c, v in row.items()}
+        inv = field.inverse(row[col])
+        row = {c: red(v * inv) for c, v in row.items()}
         for prior in reduced:
             if col in prior:
                 lead = prior[col]
                 for c2, v2 in row.items():
-                    total = prior.get(c2, zero) - lead * v2
+                    total = red(prior.get(c2, 0) - lead * v2)
                     if total:
                         prior[c2] = total
                     else:
@@ -260,7 +260,7 @@ def _nullspace(rows: list[dict], ncols: int, field) -> list[dict]:
         for col, idx in pivots.items():
             coeff = reduced[idx].get(f)
             if coeff:
-                vec[col] = -coeff
+                vec[col] = field.reduce(-coeff)
         basis.append(vec)
     return basis
 
@@ -332,7 +332,7 @@ def brute_force_center(
         ep, tp = g.edge_path(e), g.vertex_path(g.target_of(e))
         gens[e] = ((2 * k, Monomial(ep, tp)), (2 * k + 1, Monomial(tp, ep)))
 
-    one, zero = field.one, field.zero
+    one = field.one
     product = algebra._monomial_product
     rows: dict[tuple, dict] = {}
     for i, m in enumerate(candidates):
@@ -351,7 +351,7 @@ def brute_force_center(
                 if mg is not None:
                     raw[mg] = one
                 if gm is not None:
-                    raw[gm] = raw.get(gm, zero) - one
+                    raw[gm] = raw.get(gm, 0) - one
                 # each (m, gen) pair is visited once, so no entry is written twice
                 for out, c in algebra._normal_form(raw).items():
                     rows.setdefault((gi, out), {})[i] = c

@@ -268,19 +268,23 @@ def _boolean_law_failure(g: Graph, one, members: dict) -> str | None:
             if i != j and not product.is_zero():
                 s, t = _set_str(g, supports[i]), _set_str(g, supports[j])
                 return f"atoms {s} and {t} are not orthogonal"
-    zero = one.algebra.zero()
-    if sum(atoms, zero) != one:
-        return "atoms do not sum to 1"
-
     m = len(atoms)
     full = (1 << m) - 1
+    # the sum of the atoms in each mask, built from the mask without its lowest bit
+    images = [one.algebra.zero()]
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        images.append(images[mask ^ low] + atoms[low.bit_length() - 1])
+    if images[full] != one:
+        return "atoms do not sum to 1"
+
     by_atoms = {sum(1 << i for i, s in enumerate(supports) if s <= w): w for w in members}
     if len(by_atoms) != len(members) or len(members) != 1 << m:
         return f"members do not match the 2^{m} atom sets one to one"
     coatoms = [by_atoms[full ^ 1 << j] for j in range(m)]
     everything = frozenset(g.vertices)
     for picked, w in by_atoms.items():
-        if sum((e for i, e in enumerate(atoms) if picked >> i & 1), zero) != members[w]:
+        if images[picked] != members[w]:
             return f"sum law fails for {_set_str(g, w)}"
         if perp(g, w) != by_atoms[full ^ picked]:
             return f"complement law fails for {_set_str(g, w)}"

@@ -9,7 +9,6 @@ from leavitt import (
     AlgebraMismatchError,
     Element,
     ElementSyntaxError,
-    FpScalar,
     LeavittAlgebra,
     Monomial,
     Path,
@@ -552,18 +551,26 @@ def test_pow_validation(g1):
 
 
 def test_fp_scalar_arithmetic():
+    # residues are plain ints in [0, p); the field reduces and inverts them
     field = PrimeField(7)
-    three = field.coerce(3)
-    five = field.coerce(5)
-    assert (three + five).value == 1
-    assert (three * five).value == 1
-    assert (three - five).value == 5
-    assert (three / five).value == 2  # 3 * 5^-1 = 3 * 3 = 2 mod 7
-    assert (-three).value == 4
-    assert not field.zero and field.one
-    assert field.coerce(Fraction(1, 2)).value == 4  # inverse of 2 mod 7
+    assert field.zero == 0 and field.one == 1
+    assert field.coerce(3) == 3 and field.coerce(-3) == 4 and field.coerce(10) == 3
+    assert field.reduce(3 + 5) == 1
+    assert field.reduce(3 * 5) == 1
+    assert field.reduce(3 - 5) == 5
+    assert field.reduce(-3) == 4
+    assert field.inverse(5) == 3
+    assert field.reduce(3 * field.inverse(5)) == 2  # 3 / 5 = 3 * 3 = 2 mod 7
+    assert field.coerce(Fraction(1, 2)) == 4  # inverse of 2 mod 7
+    assert field.parse_scalar("3/5") == 2
+    for bad in (0, 7, -14):
+        with pytest.raises(ZeroDivisionError):
+            field.inverse(bad)
     with pytest.raises(ZeroDivisionError):
         field.coerce(Fraction(1, 7))
+    # numerator and denominator are each reduced before dividing: 7/7 is 0/0, not 1
+    with pytest.raises(ZeroDivisionError):
+        field.parse_scalar("7/7")
 
 
 def test_prime_field_validation():
@@ -598,8 +605,11 @@ def test_rationals_field_object():
         r.coerce(0.5)
 
 
-def test_fp_scalars_do_not_mix_moduli():
-    a = FpScalar(1, 5)
-    b = FpScalar(1, 7)
+def test_fp_scalars_do_not_mix_moduli(g2):
+    # residues are bare ints, so the algebras' fields keep the moduli apart
+    a = LeavittAlgebra(g2, field=PrimeField(5)).vertex("v1")
+    b = LeavittAlgebra(g2, field=PrimeField(7)).vertex("v1")
     with pytest.raises(AlgebraMismatchError):
         a + b
+    with pytest.raises(AlgebraMismatchError):
+        a * b

@@ -297,7 +297,7 @@ def _plain_nullspace(rows, ncols, field):
         for col, idx in pivots.items():
             coeff = reduced[idx].get(f)
             if coeff:
-                vec[col] = -coeff
+                vec[col] = field.reduce(-coeff)
         basis.append(vec)
     return basis
 
@@ -393,6 +393,29 @@ def test_nullspace_presolve_matches_plain_elimination(field):
     for _ in range(400):
         rows, ncols = _random_system(rng, field)
         assert _nullspace(rows, ncols, field) == _plain_nullspace(rows, ncols, field), (rows, ncols)
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(97)], ids=lambda f: f.name)
+def test_coefficients_are_exact_canonical_scalars(field, corpus):
+    # equal elements must store equal coefficients and print the same: over
+    # rat an int or a Fraction, never a float or a bool; over fp:p a residue
+    # in [1, p)
+    if isinstance(field, Rationals):
+        assert type(field.coerce(True)) is int and field.coerce(True) == 1
+        assert type(field.inverse(Fraction(1, 2))) is int and field.inverse(Fraction(1, 2)) == 2
+        assert field.inverse(-2) == Fraction(-1, 2)
+        canonical = lambda c: type(c) in (int, Fraction) and c != 0
+    else:
+        canonical = lambda c: type(c) is int and 1 <= c < field.p
+    for g in corpus:
+        alg = LeavittAlgebra(g, field=field)
+        elements = [idempotent(alg, w) for w in finitary_boolean_subalgebra(g)]
+        for d in range(-3, 4):
+            elements += center_basis(alg, d).elements
+            elements += brute_force_center(alg, d, oracle_bound(g, d))
+        for el in elements:
+            for m, c in el.terms():
+                assert canonical(c), (g, field.name, str(m), c)
 
 
 def test_touching_edges_cover_every_nonzero_generator_product(chain_loop, fork_loops, corpus):
