@@ -132,17 +132,19 @@ def _cmd_analyze(args, g: Graph) -> int:
     rep = center_structure(g)
     k = len(rep.minimal_sets)
     m = len(rep.summands)
+    minimal = [g.sorted_vertices(w) for w in rep.minimal_sets]
+    supports = [g.sorted_vertices(s.support) for s in rep.summands]
     payload = {
-        "minimal_sets": [g.sorted_vertices(w) for w in rep.minimal_sets],
+        "minimal_sets": minimal,
         "classes": [
             {
                 "members": list(s.members),
-                "support": g.sorted_vertices(s.support),
+                "support": support,
                 "kind": "laurent" if s.is_laurent else "field",
                 "cycle": str(s.cycle) if s.cycle is not None else None,
                 "cycle_length": s.cycle_length,
             }
-            for s in rep.summands
+            for s, support in zip(rep.summands, supports)
         ],
         "k": k,
         "m": m,
@@ -153,16 +155,16 @@ def _cmd_analyze(args, g: Graph) -> int:
 
     lines = [_graph_line(g)]
     lines.append("minimal hereditary sets:")
-    for i, w in enumerate(rep.minimal_sets, 1):
-        lines.append(f"  W{i} = {_set_str(g, w)}")
+    for i, w in enumerate(minimal, 1):
+        lines.append(f"  W{i} = {{{','.join(w)}}}")
     lines.append("classes:")
-    for i, s in enumerate(rep.summands, 1):
+    for i, (s, support) in enumerate(zip(rep.summands, supports), 1):
         members = ",".join(f"W{j + 1}" for j in s.members)
         if s.is_laurent:
             kind = f"Laurent via cycle {s.cycle} of length {s.cycle_length}"
         else:
             kind = "field"
-        lines.append(f"  I{i} = {{{members}}}: support {_set_str(g, s.support)}, {kind}")
+        lines.append(f"  I{i} = {{{members}}}: support {{{','.join(support)}}}, {kind}")
     lines.append(f"annihilator algebra: {2**k} subsets (2^{k})")
     lines.append(f"finitary subalgebra: {2**m} subsets (2^{m})")
     lines.append(f"center: {rep.isomorphism}")

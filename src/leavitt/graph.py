@@ -123,37 +123,42 @@ class Graph:
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
-        self._vertices = tuple(vertices)
-        self._edges = tuple((e, s, t) for e, s, t in edges)
-        seen: set[str] = set()
-        for v in self._vertices:
+        vertices = tuple(vertices)
+        edges = tuple((e, s, t) for e, s, t in edges)
+        declared: set[str] = set()
+        for v in vertices:
             _check_ident(v)
-            if v in seen:
+            if v in declared:
                 raise DuplicateIdError(f"duplicate vertex id {v!r}")
-            seen.add(v)
-        self._vindex = {v: i for i, v in enumerate(self._vertices)}
-        self._eindex: dict[str, int] = {}
-        self._src: dict[str, str] = {}
-        self._dst: dict[str, str] = {}
-        out: dict[str, list[str]] = {v: [] for v in self._vertices}
-        inc: dict[str, list[str]] = {v: [] for v in self._vertices}
-        for i, (e, s, t) in enumerate(self._edges):
+            declared.add(v)
+        seen: set[str] = set()
+        for e, s, t in edges:
             _check_ident(e)
-            if e in self._eindex:
+            if e in seen:
                 raise DuplicateIdError(f"duplicate edge id {e!r}")
-            if s not in self._vindex:
-                raise UnknownVertexError(f"unknown vertex {s!r}")
-            if t not in self._vindex:
-                raise UnknownVertexError(f"unknown vertex {t!r}")
-            self._eindex[e] = i
-            self._src[e] = s
-            self._dst[e] = t
+            seen.add(e)
+            for v in (s, t):
+                if v not in declared:
+                    raise UnknownVertexError(f"unknown vertex {v!r}")
+        self._init(vertices, edges)
+
+    def _init(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str, str], ...]) -> None:
+        """Set up a graph whose ids passed the checks of ``__init__`` or ``parse_graph``."""
+        self._vertices = vertices
+        self._edges = edges
+        self._vindex = {v: i for i, v in enumerate(vertices)}
+        self._eindex = {e: i for i, (e, _, _) in enumerate(edges)}
+        self._src = {e: s for e, s, _ in edges}
+        self._dst = {e: t for e, _, t in edges}
+        out: dict[str, list[str]] = {v: [] for v in vertices}
+        inc: dict[str, list[str]] = {v: [] for v in vertices}
+        for e, s, t in edges:
             out[s].append(e)
             inc[t].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
-        self._edge_ids = tuple(e for e, _, _ in self._edges)
-        self._hash = hash((self._vertices, self._edges))
+        self._edge_ids = tuple(self._eindex)
+        self._hash = hash((vertices, edges))
         self._scc_index = None  # built by the hereditary module on first use
 
     # -- basic accessors -------------------------------------------------
@@ -346,11 +351,14 @@ def parse_graph(text: str) -> Graph:
     Lines: ``# comment``, ``vertex <id>``, ``edge <id> <src-vertex> <dst-vertex>``.
     Blank lines are ignored.  Lines end at LF, CRLF or CR only (the newlines
     ``open()`` translates), so errors carry 1-based physical line numbers.
+    The rules are those of the ``Graph`` constructor, checked here once each,
+    so the graph is built without the constructor's second pass.
     """
     vertices: list[str] = []
     vset: set[str] = set()
     eset: set[str] = set()
-    edges: list[tuple[str, str, str, int]] = []
+    edges: list[tuple[str, str, str]] = []
+    pending: list[tuple[int, str]] = []  # endpoints not declared before their edge
     for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -369,20 +377,23 @@ def parse_graph(text: str) -> Graph:
             if len(tokens) != 4:
                 raise GraphSyntaxError("expected 'edge <id> <src-vertex> <dst-vertex>'", lineno)
             eid, src, dst = tokens[1:]
-            for ident in (eid, src, dst):
-                _check_ident(ident, lineno)
+            _check_ident(eid, lineno)
+            for v in (src, dst):
+                if v not in vset:  # a declared vertex passed this check on its own line
+                    _check_ident(v, lineno)
+                    pending.append((lineno, v))
             if eid in eset:
                 raise DuplicateIdError(f"duplicate edge id {eid!r}", lineno)
             eset.add(eid)
-            edges.append((eid, src, dst, lineno))
+            edges.append((eid, src, dst))
         else:
             raise GraphSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
-    for eid, src, dst, lineno in edges:
-        if src not in vset:
-            raise UnknownVertexError(f"unknown vertex {src!r}", lineno)
-        if dst not in vset:
-            raise UnknownVertexError(f"unknown vertex {dst!r}", lineno)
-    return Graph(vertices, [(e, s, t) for e, s, t, _ in edges])
+    for lineno, v in pending:
+        if v not in vset:
+            raise UnknownVertexError(f"unknown vertex {v!r}", lineno)
+    g = Graph.__new__(Graph)
+    g._init(tuple(vertices), tuple(edges))
+    return g
 
 
 def cycle_exits(g: Graph, c: Cycle) -> list[str]:

@@ -8,7 +8,10 @@ of the associated Leavitt path algebra.
 Every one of these is a reachability fact about the strongly connected
 components (SCCs) of the graph, so each graph computes its SCCs once, on
 first use, and keeps them with the facts derived from them (``_Index``).
-The SCCs come from Kosaraju's two sweeps, in topological order.
+The SCCs come from Kosaraju's two sweeps, in topological order.  One pass in
+reverse order then gives each SCC the set of minimal sets it reaches, and
+the classes and their supports are read off those sets: all vertices of an
+SCC reach exactly the same minimal sets.
 """
 
 from __future__ import annotations
@@ -95,8 +98,11 @@ def _as_vertex_set(g: Graph, ws: Iterable[str]) -> frozenset[str]:
 
 def is_hereditary(g: Graph, ws: Iterable[str]) -> bool:
     """True when every edge from the subset stays inside it."""
-    W = _as_vertex_set(g, ws)
-    return all(g.target_of(e) in W for v in W for e in g.out_edges(v))
+    try:
+        _require_hereditary(g, ws)
+    except NotHereditaryError:
+        return False
+    return True
 
 
 def _require_hereditary(g: Graph, ws: Iterable[str]) -> frozenset[str]:
@@ -114,15 +120,19 @@ def _mask(g: Graph, ws: Iterable[str]) -> int:
     return sum(1 << g.vertex_index(v) for v in ws)
 
 
-def _members(g: Graph, mask: int) -> frozenset[str]:
-    """The vertices whose bit is set; ``~mask`` gives the complement."""
-    mask &= (1 << len(g.vertices)) - 1
+def _bit_indexes(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a nonnegative ``mask``, ascending."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(g.vertices[low.bit_length() - 1])
+        out.append(low.bit_length() - 1)
         mask ^= low
-    return frozenset(out)
+    return tuple(out)
+
+
+def _members(g: Graph, mask: int) -> frozenset[str]:
+    """The vertices whose bit is set; ``~mask`` gives the complement."""
+    return frozenset(map(g.vertices.__getitem__, _bit_indexes(mask & (1 << len(g.vertices)) - 1)))
 
 
 def perp(g: Graph, ws: Iterable[str]) -> frozenset[str]:
@@ -241,47 +251,71 @@ class _Index:
     """The SCCs of one graph and the facts this module derives from them.
 
     SCC ``i`` is the ``i``-th in Kosaraju's topological order, before every
-    SCC it reaches.  Vertex sets are bitsets (see ``_mask``).  The index
-    keeps only names, ints and frozensets: a reference back to the graph
-    would form a cycle that outlives the graph until the garbage collector
-    runs.
+    SCC it reaches.  Vertex sets are bitsets (see ``_mask``), and so are sets
+    of minimal-set indexes.  One pass in reverse topological order gives each
+    SCC its mask, the minimal sets it reaches: the union of its successors'
+    masks.  An SCC's vertices reach exactly the minimal sets in its mask, so
+    the classes, their supports and every double annihilator of a union of
+    minimal sets are read off the distinct masks, with no further search.
+    The index keeps only names, ints and frozensets: a reference back to the
+    graph would form a cycle that outlives the graph until the garbage
+    collector runs.
     """
 
     def __init__(self, g: Graph):
         comps = _strong_components(g)
-        self.comp_of = {v: i for i, S in enumerate(comps) for v in S}
-        bits = [_mask(g, S) for S in comps]
+        comp_of = self.comp_of = {v: i for i, S in enumerate(comps) for v in S}
+        bits = [0] * len(comps)
+        for k, v in enumerate(g.vertices):
+            bits[comp_of[v]] |= 1 << k
+        succs: list[set[int]] = [set() for _ in comps]
+        for _, s, t in g.edges:
+            succs[comp_of[s]].add(comp_of[t])
         self.cyclic = 0  # vertices on a cycle
         self.reach_into = bits[:]  # per SCC, the vertices with a path into it
-        sinks = []
-        for i, S in enumerate(comps):
-            below = {self.comp_of[g.target_of(e)] for v in S for e in g.out_edges(v)}
+        loops = []  # the SCCs that hold a cycle
+        for i, below in enumerate(succs):
             if i in below:
                 self.cyclic |= bits[i]
+                loops.append(i)
                 below.remove(i)
-            if not below:
-                sinks.append(i)
             for j in below:
                 self.reach_into[j] |= self.reach_into[i]
-        sinks.sort(key=lambda i: min(g.vertex_index(v) for v in comps[i]))
+        # the lowest bit orders the sinks as their first-declared vertices do
+        sinks = sorted((i for i, below in enumerate(succs) if not below), key=lambda i: bits[i] & -bits[i])
         self.minimal = tuple(comps[i] for i in sinks)
-        self.sink_reach = [self.reach_into[i] for i in sinks]
+        hits = [0] * len(comps)  # per SCC, the minimal sets it reaches
+        for j, i in enumerate(sinks):
+            hits[i] = 1 << j
+        for i in range(len(comps) - 1, -1, -1):
+            for j in succs[i]:
+                hits[i] |= hits[j]
+        self.by_mask: dict[int, int] = {}  # mask -> the vertices of the SCCs with it
+        for h, b in zip(hits, bits):
+            self.by_mask[h] = self.by_mask.get(h, 0) | b
 
-        # the minimal sets below one cyclic SCC fall into one class; groups are
-        # disjoint bitsets of minimal-set indexes, so the sum of some is their union
-        groups = [1 << j for j in range(len(sinks))]
-        for b in bits:
-            if b & self.cyclic:
-                reached = sum(1 << j for j, r in enumerate(self.sink_reach) if r & b)
-                joined = [grp for grp in groups if grp & reached]
-                groups = [grp for grp in groups if not grp & reached] + [sum(joined)]
-        self.classes = sorted(tuple(j for j in range(len(sinks)) if grp >> j & 1) for grp in groups)
+        # the minimal sets below one cyclic SCC fall into one class: cls[j] is
+        # the class of minimal set j, as a mask shared by all its members
+        cls = [1 << j for j in range(len(sinks))]
+        for h in {hits[i] for i in loops}:
+            if h & ~cls[(h & -h).bit_length() - 1]:  # h spans two classes: merge
+                for j in _bit_indexes(h):
+                    h |= cls[j]
+                for j in _bit_indexes(h):
+                    cls[j] = h
+        self.classes = [_bit_indexes(c) for j, c in enumerate(cls) if c & -c == 1 << j]
+        # the support of a class holds the SCCs that reach no other minimal set
+        supports = dict.fromkeys(cls, 0)
+        for h, b in self.by_mask.items():
+            c = cls[(h & -h).bit_length() - 1]
+            if not h & ~c:
+                supports[c] |= b
         summands = []
-        for cls in self.classes:
-            j = cls[0]
-            finitary = not self.sink_reach[j] & ~bits[sinks[j]] & self.cyclic
-            cycle = _ne_cycle_covering(g, self.minimal[j]) if len(cls) == 1 and finitary else None
-            summands.append(ClassSummand(cls, self.support(g, cls), cycle))
+        for members in self.classes:
+            i = sinks[members[0]]
+            finitary = not self.reach_into[i] & ~bits[i] & self.cyclic
+            cycle = _ne_cycle_covering(g, comps[i]) if len(members) == 1 and finitary else None
+            summands.append(ClassSummand(members, _members(g, supports[cls[members[0]]]), cycle))
         self.summands = tuple(summands)
 
     def reach(self, W: Iterable[str]) -> int:
@@ -291,18 +325,17 @@ class _Index:
             out |= self.reach_into[c]
         return out
 
-    def support(self, g: Graph, chosen) -> frozenset[str]:
-        """Double annihilator of the union of the chosen minimal sets.
+    def support(self, g: Graph, chosen: int) -> frozenset[str]:
+        """Double annihilator of the union of the minimal sets in the bitset
+        ``chosen``, read off the table of distinct masks.
 
         Every vertex reaches some minimal set, and each minimal set outside
         the union lies in its annihilator; so the double annihilator is the
-        set of vertices that reach no minimal set outside the union.
+        set of vertices that reach no minimal set outside the union.  An
+        SCC's vertices reach exactly the minimal sets in its mask, so these
+        are the SCCs whose mask lies inside ``chosen``.
         """
-        others = 0
-        for j, r in enumerate(self.sink_reach):
-            if j not in chosen:
-                others |= r
-        return _members(g, ~others)
+        return _members(g, sum(b for h, b in self.by_mask.items() if not h & ~chosen))
 
 
 def _index(g: Graph) -> _Index:
@@ -329,8 +362,8 @@ def equivalence_classes(g: Graph) -> list[tuple[int, ...]]:
 
     Two minimal sets are related when one cycle avoids both and reaches both.
     Every cycle lies inside a single strongly connected component and shares
-    its reachability, so it suffices to scan the components that contain a
-    cycle.
+    its reachability, so it suffices to merge the sets of minimal sets that
+    the components containing a cycle reach.
     """
     return list(_structure(g).classes)
 
@@ -348,7 +381,8 @@ def _joins(g: Graph, groups: list[tuple[int, ...]]) -> list[frozenset[str]]:
     """The supports of the 2^n unions of n groups of minimal-set indexes, sorted."""
     idx = _structure(g)
     n = len(groups)
-    picks = ({i for j in range(n) if mask >> j & 1 for i in groups[j]} for mask in range(1 << n))
+    masks = [sum(1 << i for i in grp) for grp in groups]
+    picks = (sum(masks[j] for j in _bit_indexes(pick)) for pick in range(1 << n))
     members = {idx.support(g, picked) for picked in picks}
     if len(members) != 1 << n:
         raise AssertionError(f"the Boolean algebra must have exactly 2^{n} members")

@@ -1,7 +1,12 @@
+import collections
+import random
+import re
+
 import pytest
 
 from leavitt import (
     DuplicateIdError,
+    Graph,
     GraphParseError,
     GraphSyntaxError,
     NotACycleError,
@@ -91,8 +96,6 @@ def test_vertex_and_edge_namespaces_are_separate():
 
 
 def test_graph_constructor_validates():
-    from leavitt import Graph
-
     with pytest.raises(UnknownVertexError):
         Graph(("v1",), (("e", "v1", "v2"),))
     with pytest.raises(DuplicateIdError):
@@ -224,3 +227,158 @@ def test_path_is_an_immutable_named_tuple(g3):
     # len() counts the three fields; the path length is a property
     assert len(p) == 3 and p.length == 1 and g3.path("v1", ["a", "b2"]).length == 2
     assert g3.vertex_path("v2").length == 0
+
+
+# -- differential check of the parser against its earlier form --------------
+
+_REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _ref_check_ident(x, line=None):
+    if not _REF_IDENT.fullmatch(x):
+        raise GraphSyntaxError(f"invalid identifier {x!r}", line)
+
+
+def _reference_constructor(vertices, edges):
+    """The ``Graph`` constructor's checks as they stood when ``parse_graph``
+    still ran them a second time: every vertex, then every edge in order."""
+    vertices = tuple(vertices)
+    edges = tuple((e, s, t) for e, s, t in edges)
+    vindex = {}
+    for v in vertices:
+        _ref_check_ident(v)
+        if v in vindex:
+            raise DuplicateIdError(f"duplicate vertex id {v!r}")
+        vindex[v] = len(vindex)
+    eindex = {}
+    for e, s, t in edges:
+        _ref_check_ident(e)
+        if e in eindex:
+            raise DuplicateIdError(f"duplicate edge id {e!r}")
+        if s not in vindex:
+            raise UnknownVertexError(f"unknown vertex {s!r}")
+        if t not in vindex:
+            raise UnknownVertexError(f"unknown vertex {t!r}")
+        eindex[e] = len(eindex)
+    return vertices, edges
+
+
+def _reference_parse(text):
+    """``parse_graph`` as it stood when it checked all three ids of every edge
+    line and then handed its lists to the checking constructor."""
+    vertices, vset, eset, edges = [], set(), set(), []
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if tokens[0] == "vertex":
+            if len(tokens) != 2:
+                raise GraphSyntaxError("expected 'vertex <id>'", lineno)
+            vid = tokens[1]
+            _ref_check_ident(vid, lineno)
+            if vid in vset:
+                raise DuplicateIdError(f"duplicate vertex id {vid!r}", lineno)
+            vset.add(vid)
+            vertices.append(vid)
+        elif tokens[0] == "edge":
+            if len(tokens) != 4:
+                raise GraphSyntaxError("expected 'edge <id> <src-vertex> <dst-vertex>'", lineno)
+            eid, src, dst = tokens[1:]
+            for ident in (eid, src, dst):
+                _ref_check_ident(ident, lineno)
+            if eid in eset:
+                raise DuplicateIdError(f"duplicate edge id {eid!r}", lineno)
+            eset.add(eid)
+            edges.append((eid, src, dst, lineno))
+        else:
+            raise GraphSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
+    for eid, src, dst, lineno in edges:
+        if src not in vset:
+            raise UnknownVertexError(f"unknown vertex {src!r}", lineno)
+        if dst not in vset:
+            raise UnknownVertexError(f"unknown vertex {dst!r}", lineno)
+    return _reference_constructor(vertices, [(e, s, t) for e, s, t, _ in edges])
+
+
+_GOOD_IDS = ["a", "b", "c", "v1", "_x", "B2", "edge", "vertex"]
+_BAD_IDS = ["1v", "v-1", "a.b", "é", "xü", "$", "0"]
+
+
+def _random_declarations(rng):
+    """Seeded declarations: mostly a valid graph, with bad ids, repeated ids
+    and endpoints that are never declared."""
+    def spoil(x):
+        return rng.choice(_BAD_IDS) if rng.random() < 0.02 else x
+
+    names = rng.sample(_GOOD_IDS, rng.randint(1, 5))
+    vertices = [spoil(v) for v in names if rng.random() > 0.04]
+    if rng.random() < 0.08:
+        vertices.append(rng.choice(names))
+    edges = [(spoil(f"e{i}"), spoil(rng.choice(names)), spoil(rng.choice(names))) for i in range(rng.randint(0, 5))]
+    if edges and rng.random() < 0.08:
+        edges.append((rng.choice(edges)[0], rng.choice(names), rng.choice(names)))
+    return vertices, edges
+
+
+def _random_graph_text(rng):
+    vertices, edges = _random_declarations(rng)
+    lines = [("vertex", v) for v in vertices] + [("edge", *e) for e in edges]
+    rng.shuffle(lines)  # so some edges come before the vertices they name
+    out = []
+    for decl in lines:
+        roll = rng.random()
+        if roll < 0.01:
+            decl = decl[:-1]
+        elif roll < 0.02:
+            decl = decl + ("extra",)
+        elif roll < 0.03:
+            decl = (rng.choice(["Vertex", "edges", "node", "#ok"]),) + decl[1:]
+        gap = rng.choice([" ", "  ", "\t", " \x0b "])
+        out.append(rng.choice(["", " ", "\t"]) + gap.join(decl))
+        if rng.random() < 0.1:
+            out.append(rng.choice(["", "# note", "   ", "  # vertex x"]))
+    breaks = ["\n", "\r\n", "\r"]
+    if rng.random() < 0.5:
+        nl = rng.choice(breaks)
+        return nl.join(out) + rng.choice(["", nl])
+    return "".join(line + rng.choice(breaks) for line in out)
+
+
+def _outcome(build, *args):
+    try:
+        g = build(*args)
+    except GraphParseError as exc:
+        return ("error", type(exc), str(exc), exc.line)
+    if isinstance(g, tuple):
+        return ("graph",) + g
+    return ("graph", g.vertices, g.edges)
+
+
+def _assert_consistent(g):
+    """Every lookup of a parsed graph agrees with its declaration lists."""
+    assert g == Graph(g.vertices, g.edges) and hash(g) == hash(Graph(g.vertices, g.edges))
+    assert g.edge_ids() == tuple(e for e, _, _ in g.edges)
+    for i, v in enumerate(g.vertices):
+        assert g.vertex_index(v) == i
+        assert g.out_edges(v) == tuple(e for e, s, _ in g.edges if s == v)
+        assert g.in_edges(v) == tuple(e for e, _, t in g.edges if t == v)
+    for e, s, t in g.edges:
+        assert (g.source_of(e), g.target_of(e), g.has_edge(e)) == (s, t, True)
+
+
+def test_parse_and_constructor_match_their_reference_checks():
+    rng = random.Random(1207)
+    kinds = collections.Counter()
+    for _ in range(20_000):
+        text = _random_graph_text(rng)
+        expected = _outcome(_reference_parse, text)
+        got = _outcome(parse_graph, text)
+        assert got == expected, text
+        kinds[expected[1].__name__ if expected[0] == "error" else "graph"] += 1
+        if got[0] == "graph":
+            _assert_consistent(parse_graph(text))
+        vertices, edges = _random_declarations(rng)
+        assert _outcome(Graph, vertices, edges) == _outcome(_reference_constructor, vertices, edges)
+    # the mix reaches every outcome, each many times
+    assert min(kinds[k] for k in ("graph", "GraphSyntaxError", "DuplicateIdError", "UnknownVertexError")) > 500, kinds

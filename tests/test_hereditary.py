@@ -364,3 +364,124 @@ def test_strong_components_are_reachability_classes_in_topological_order(corpus)
     assert _strong_components(ring) == [frozenset(names)]
     chain = Graph(names, [(f"e{i}", names[i], names[i + 1]) for i in range(n - 1)])
     assert _strong_components(chain) == [frozenset((v,)) for v in names]
+
+
+# -- the classes, supports and Boolean algebras from their definitions -------
+
+
+def _walk_reaches(g):
+    """(u, v) for every vertex v a walk from u visits, by a search from each u."""
+    pairs = set()
+    for u in g.vertices:
+        seen, todo = {u}, [u]
+        while todo:
+            for e in g.out_edges(todo.pop()):
+                t = g.target_of(e)
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        pairs.update((u, t) for t in seen)
+    return pairs
+
+
+class _Oracle:
+    """Minimal sets, classes, supports and both Boolean algebras, computed
+    from a reachability relation by their definitions alone."""
+
+    def __init__(self, g, reach):
+        self.g = g
+        self.below = {v: frozenset(t for (s, t) in reach if s == v) for v in g.vertices}
+        # a minimal hereditary set is everything below a vertex that all of it reaches back
+        self.minimal = sorted(
+            {self.below[v] for v in g.vertices if all((u, v) in reach for u in self.below[v])},
+            key=lambda w: min(map(g.vertex_index, w)),
+        )
+        on_cycle = {g.source_of(e) for e in g.edge_ids() if (g.target_of(e), g.source_of(e)) in reach}
+        k = len(self.minimal)
+        related = {
+            (a, b)
+            for a in range(k)
+            for b in range(k)
+            if a == b
+            or any(
+                v not in self.minimal[a] | self.minimal[b]
+                and not self.below[v].isdisjoint(self.minimal[a])
+                and not self.below[v].isdisjoint(self.minimal[b])
+                for v in on_cycle
+            )
+        }
+        while True:  # transitive closure
+            more = {(a, d) for (a, b) in related for (c, d) in related if b == c}
+            if more <= related:
+                break
+            related |= more
+        self.classes = sorted({tuple(b for b in range(k) if (a, b) in related) for a in range(k)})
+
+    def perp(self, ws):
+        return frozenset(v for v in self.g.vertices if self.below[v].isdisjoint(ws))
+
+    def support(self, indexes):
+        return self.perp(self.perp(frozenset().union(*(self.minimal[i] for i in indexes))))
+
+    def joins(self, groups):
+        members = {
+            self.support([i for j, grp in enumerate(groups) if pick >> j & 1 for i in grp])
+            for pick in range(1 << len(groups))
+        }
+        return sorted(members, key=lambda s: (len(s), sorted(map(self.g.vertex_index, s))))
+
+
+def _check_structure(g, oracle, algebras=True):
+    assert minimal_hereditary_sets(g) == oracle.minimal
+    assert equivalence_classes(g) == oracle.classes
+    for cls in oracle.classes:
+        assert class_support(g, cls) == oracle.support(cls)
+    if algebras:
+        assert annihilator_boolean_algebra(g) == oracle.joins([(i,) for i in range(len(oracle.minimal))])
+        assert finitary_boolean_subalgebra(g) == oracle.joins(oracle.classes)
+
+
+def _shaped_like_structure_large(rng, weights):
+    """Forward edges of step 1-12, and one edge in ten back by 0-4 steps."""
+    n = rng.randint(60, 120)
+    edges = []
+    for i in range(n):
+        for _ in range(rng.choices((0, 1, 2), weights=weights)[0]):
+            j = min(n - 1, i + rng.randint(1, 12)) if rng.random() < 0.9 else max(0, i - rng.randint(0, 4))
+            edges.append((f"e{len(edges)}", f"v{i}", f"v{j}"))
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
+def test_structure_matches_its_definitions_on_small_graphs():
+    rng = random.Random(1212)
+    merged = 0
+    for _ in range(200):
+        g = random_graph(rng)
+        reach = brute_reaches(g)
+        assert _walk_reaches(g) == reach
+        oracle = _Oracle(g, reach)
+        assert oracle.minimal == brute_minimal_hereditary(g)
+        for cls in oracle.classes:
+            union = frozenset().union(*(oracle.minimal[i] for i in cls))
+            assert oracle.support(cls) == brute_perp(g, brute_perp(g, union))
+        _check_structure(g, oracle)
+        merged += any(len(cls) > 1 for cls in oracle.classes)
+    assert merged >= 3
+
+
+def test_structure_matches_its_definitions_on_large_graphs():
+    rng = random.Random(1213)
+    merged = laurent = 0
+    # few sinks, so that both Boolean algebras (2^k and 2^m members) stay small
+    for _ in range(20):
+        g = _shaped_like_structure_large(rng, (1, 12, 6))
+        oracle = _Oracle(g, _walk_reaches(g))
+        assert len(oracle.minimal) <= 12
+        _check_structure(g, oracle)
+        merged += any(len(cls) > 1 for cls in oracle.classes)
+        laurent += center_structure(g).laurent_count
+    assert merged >= 5 and laurent >= 5
+    # the benchmark's own mix of sinks: too many minimal sets for the algebras
+    for _ in range(10):
+        g = _shaped_like_structure_large(rng, (5, 12, 3))
+        _check_structure(g, _Oracle(g, _walk_reaches(g)), algebras=False)
