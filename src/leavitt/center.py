@@ -4,11 +4,13 @@ The constructive side builds central idempotents from arrival paths into
 finitary hereditary subsets and graded basis elements from cycle powers
 conjugated out over those arrivals.  ``brute_force_center`` knows none of
 that theory: it solves the linear commutation constraints directly over the
-monomial basis and is used to validate the construction.  Most of its
-commutator rows have one entry, or one once the columns forced to zero are
-dropped, so ``_nullspace`` sets the forced columns aside and eliminates only
-the rest.  A forced column's row in the unique reduced row echelon form is
-its unit vector, so the rest of that form, and the basis, do not change.
+monomial basis and is used to validate the construction.  Its unknowns come
+sorted off path layers built in edge declaration order, and each commutator
+entry from a one-edge rule, with no generic product.  Most of its rows have
+one entry, or one once the columns forced to zero are dropped, so
+``_nullspace`` sets the forced columns aside and eliminates only the rest.  A
+forced column's row in the unique reduced row echelon form is its unit
+vector, so the rest of that form, and the basis, do not change.
 """
 
 from __future__ import annotations
@@ -265,44 +267,57 @@ def _nullspace(rows: list[dict], ncols: int, field) -> list[dict]:
     return basis
 
 
-def _touching_edges(graph: Graph, m: Monomial) -> tuple[str, ...]:
-    """The edges e for which e or e* multiplies m = [p][q] = p q^* to a
-    nonzero monomial on one side or the other, in a fixed order, each once.
+def _edge_terms(graph: Graph, m: Monomial, key: dict) -> list[tuple[int, Monomial, int]]:
+    """The nonzero products of m = [p][q], both paths from u to r, and one
+    edge generator, as (row key, product, sign): sign 1 for m gen, -1 for
+    gen m.  Edge e has row key ``key[e]`` for e and ``key[e] + 1`` for e*.
 
     A product of monomials is nonzero exactly when one inner path continues
-    the other.  So m e needs e to be the first edge of q (any edge out of
-    the range r when q is a vertex); e* m needs the same of p; and e m and
-    m e* need e to end at the source of p or of q.
+    the other, so for an edge e:
+      e m = [e p][q] and m e* = [p][e q] when e ends at u;
+      m e = [p][q'] when q = e q', and [p e][@t(e)] when q is the vertex r;
+      e* m = [p'][q] when p = e p', and [@t(e)][q e] when p is the vertex r;
+    and every other product is 0.
     """
-    p, q = m.left, m.right
-    found = list(graph.in_edges(p.source))
-    if q.source != p.source:
-        found += graph.in_edges(q.source)
-    for side in (p, q):
-        if side.edges:
-            found.append(side.edges[0])
-        else:
-            found += graph.out_edges(side.target)
-    return tuple(dict.fromkeys(found))
+    p, q = m
+    u, r = p.source, p.target
+    terms = []
+    for e in graph.in_edges(u):
+        s, k = graph.source_of(e), key[e]
+        terms.append((k, Monomial(Path(s, (e,) + p.edges, r), q), -1))
+        terms.append((k + 1, Monomial(p, Path(s, (e,) + q.edges, r)), 1))
+    if q.edges:
+        e = q.edges[0]
+        terms.append((key[e], Monomial(p, Path(graph.target_of(e), q.edges[1:], r)), 1))
+    if p.edges:
+        e = p.edges[0]
+        terms.append((key[e] + 1, Monomial(Path(graph.target_of(e), p.edges[1:], r), q), -1))
+    if not (p.edges and q.edges):
+        for e in graph.out_edges(r):
+            t = graph.target_of(e)
+            tp = Path(t, (), t)
+            if not q.edges:
+                terms.append((key[e], Monomial(Path(u, p.edges + (e,), t), tp), 1))
+            if not p.edges:
+                terms.append((key[e] + 1, Monomial(tp, Path(u, q.edges + (e,), t)), -1))
+    return terms
 
 
-def brute_force_center(
-    algebra: LeavittAlgebra, d: int, max_support: int
-) -> list[Element]:
-    """Degree-d central elements by direct linear algebra, no structure theory.
+def _candidates(algebra: LeavittAlgebra, d: int, max_support: int) -> list[Monomial]:
+    """The oracle's unknowns: basic monomials [p][q] of degree d and size at
+    most max_support whose two paths share a source, in ``monomial_key`` order.
 
-    Unknowns are the basic monomials of degree d and size at most
-    max_support whose two paths share a source vertex: commutation with the
-    vertex generators alone forces that diagonal shape, so the restriction
-    loses nothing.  Edge and edge-star commutators give the linear system.
+    Layer 0 holds the vertex paths in declaration order, layer 1 the edges in
+    declaration order, and each later layer extends the one before through
+    ``out_edges``, which keep declaration order too.  Every layer is then in
+    ``Graph.path_key`` order, so the candidates come out sorted with no sort.
     """
     g = algebra.graph
-    field = algebra.field
-
-    # paths grouped by length, then by source
     by_len: list[list[Path]] = [[g.vertex_path(v) for v in g.vertices]]
     limit = (max_support + abs(d)) // 2
-    for _ in range(limit):
+    if limit >= 1:
+        by_len.append([g.edge_path(e) for e in g.edge_ids()])
+    for _ in range(limit - 1):
         nxt = []
         for p in by_len[-1]:
             for e in g.out_edges(p.target):
@@ -324,37 +339,52 @@ def brute_force_center(
                 m = Monomial(p, q)
                 if algebra.is_basic(m):
                     candidates.append(m)
-    candidates.sort(key=algebra.monomial_key)
+    return candidates
 
-    # edge e gives the generators e and e*, as monomials, with row keys 2k and 2k+1
-    gens: dict[str, tuple] = {}
-    for k, e in enumerate(g.edge_ids()):
-        ep, tp = g.edge_path(e), g.vertex_path(g.target_of(e))
-        gens[e] = ((2 * k, Monomial(ep, tp)), (2 * k + 1, Monomial(tp, ep)))
 
-    one = field.one
-    product = algebra._monomial_product
+def brute_force_center(
+    algebra: LeavittAlgebra, d: int, max_support: int
+) -> list[Element]:
+    """Degree-d central elements by direct linear algebra, no structure theory.
+
+    Unknowns are the basic monomials of degree d and size at most
+    max_support whose two paths share a source vertex: commutation with the
+    vertex generators alone forces that diagonal shape, so the restriction
+    loses nothing.  Edge and edge-star commutators give the linear system,
+    one row per (generator, output monomial).  Each entry is written straight
+    from the one-edge rules of ``_edge_terms``, with no generic product, and
+    only a sum that is not basic goes through the normal form.
+    """
+    g = algebra.graph
+    field = algebra.field
+    candidates = _candidates(algebra, d, max_support)
+
+    # edge number k gives the generators e and e*, with row keys 2k and 2k+1
+    key = {e: 2 * k for k, e in enumerate(g.edge_ids())}
+    signs = {1: field.one, -1: field.reduce(-field.one)}
     rows: dict[tuple, dict] = {}
     for i, m in enumerate(candidates):
-        # For m = [p][q] with source u and range r, e or e* can multiply m to
-        # something nonzero only for e an in-edge of u, the first edge of p
-        # or of q, or, when p or q is a vertex, an out-edge of r; every other
-        # generator commutes with m to 0.  The normal form is linear, so the
-        # commutator NF(m gen) - NF(gen m) is the NF of the raw difference.
-        for e in _touching_edges(g, m):
-            for gi, gen in gens[e]:
-                mg = product(m, gen)
-                gm = product(gen, m)
-                if mg is None and gm is None:
-                    continue
-                raw = {}
-                if mg is not None:
-                    raw[mg] = one
-                if gm is not None:
-                    raw[gm] = raw.get(gm, 0) - one
-                # each (m, gen) pair is visited once, so no entry is written twice
-                for out, c in algebra._normal_form(raw).items():
-                    rows.setdefault((gi, out), {})[i] = c
+        terms = _edge_terms(g, m, key)
+        if m.left.edges and m.right.edges:
+            # every product keeps a last edge of m, so is basic, and the two
+            # products with one generator differ in length: no sum is needed
+            for k, out, sign in terms:
+                rows.setdefault((k, out), {})[i] = signs[sign]
+            continue
+        # m gen - gen m, summed per generator before any normal form: for a
+        # loop a at v, a [a][@v] and [a][@v] a are both [a a][@v] and cancel;
+        # only [e][q] and [p][e] can be non-basic
+        by_gen: dict[int, dict] = {}
+        for k, out, sign in terms:
+            group = by_gen.setdefault(k, {})
+            group[out] = group.get(out, 0) + sign
+        for k, group in by_gen.items():
+            if all(map(algebra.is_basic, group)):
+                entries = ((out, signs[c]) for out, c in group.items() if c)
+            else:
+                entries = algebra._normal_form(group).items()
+            for out, c in entries:
+                rows.setdefault((k, out), {})[i] = c
 
     kernel = _nullspace(list(rows.values()), len(candidates), field)
     elements = []

@@ -205,11 +205,13 @@ def _cmd_verify(args, g: Graph) -> int:
         print("error: --max-len must be >= 0", file=sys.stderr)
         return 2
     algebra = LeavittAlgebra(g, field=args.field)
+    # oracle_bound(g, d) is oracle_bound(g, 0) + |d|: search the arrivals once
+    base = oracle_bound(g, 0) if args.max_len is None else None
     rows = []
     lines = [_graph_line(g)]
     all_ok = True
     for d in range(-args.max_degree, args.max_degree + 1):
-        bound = args.max_len if args.max_len is not None else oracle_bound(g, d)
+        bound = args.max_len if base is None else base + abs(d)
         found = brute_force_center(algebra, d, bound)
         basis = center_basis(algebra, d)
         predicted = center_dimension_predicted(g, d)

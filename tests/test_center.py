@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from leavitt import (
     spans_equal,
 )
 
-from leavitt.center import _nullspace, _row_reduce, _touching_edges
+from leavitt.center import _candidates, _edge_terms, _nullspace, _row_reduce
 
 from oracles import random_graph
 
@@ -356,6 +357,50 @@ def test_oracle_rows_from_monomial_products_match_element_arithmetic(chain_loop,
                 assert got == [str(e) for e in _reference_oracle(alg, d, bound)], (g, alg, d)
 
 
+def test_oracle_matches_element_arithmetic_at_small_caps(chain_loop, fork_loops, corpus):
+    # cap 0 leaves only the vertices for d = 0 and no candidate for d != 0,
+    # with no layer 1 built at |d| = 1; cap |d| leaves one side a vertex
+    rng = random.Random(6)
+    for g in [chain_loop, fork_loops] + corpus:
+        for alg in _oracle_settings(g, rng):
+            for d in range(-3, 4):
+                for cap in sorted({0, abs(d)}):
+                    got = [str(e) for e in brute_force_center(alg, d, cap)]
+                    assert got == [str(e) for e in _reference_oracle(alg, d, cap)], (g, alg, d, cap)
+
+
+def _shuffled_multigraph(rng):
+    """A random graph with parallel edges and loops, its edges declared in a
+    shuffled order and numbered in that order, so not grouped by source."""
+    n = rng.randint(1, 4)
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    ends = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 7))]
+    rng.shuffle(ends)
+    lines = [f"vertex {v}" for v in vs]
+    lines += [f"edge e{j} {s} {t}" for j, (s, t) in enumerate(ends, 1)]
+    return parse_graph("\n".join(lines))
+
+
+def test_candidates_come_out_in_monomial_key_order(chain_loop, fork_loops, corpus):
+    # the layers are built in edge declaration order and never sorted, so the
+    # keys must rise strictly; the first graph declares e4 before e1 and
+    # groups no edges by source.  Which monomials are candidates is checked
+    # against the reference oracle above.
+    out_of_order = parse_graph(
+        "vertex a\nvertex b\nvertex c\n"
+        "edge e4 b c\nedge e1 c c\nedge e3 a b\nedge e2 c b\nedge e5 b b\nedge e6 c b\n"
+    )
+    rng = random.Random(17)
+    pool = [out_of_order, chain_loop, fork_loops] + corpus
+    pool += [_shuffled_multigraph(rng) for _ in range(60)]
+    for g in pool:
+        for alg in _oracle_settings(g, rng):
+            for d in range(-3, 4):
+                for cap in (0, 2, 5):
+                    keys = [alg.monomial_key(m) for m in _candidates(alg, d, cap)]
+                    assert all(a < b for a, b in zip(keys, keys[1:])), (g, d, cap)
+
+
 def _random_system(rng, field):
     """A sparse system with a chain of forcing rows, random rows, empty and
     duplicate rows, and columns that no row mentions.
@@ -418,30 +463,30 @@ def test_coefficients_are_exact_canonical_scalars(field, corpus):
                 assert canonical(c), (g, field.name, str(m), c)
 
 
-def test_touching_edges_cover_every_nonzero_generator_product(chain_loop, fork_loops, corpus):
-    # an edge outside the touching set of a basic monomial m, its two paths
-    # from any sources, gives 0 for m e, e m, m e* and e* m; an edge inside
-    # gives at least one nonzero product
+def test_edge_rules_give_every_nonzero_generator_product(chain_loop, fork_loops, corpus):
+    # for a basic monomial m whose paths share a source, the rules must give
+    # exactly the nonzero products m gen (sign 1) and gen m (sign -1) over
+    # all 2|E| edge and edge-star generators, each once, with its row key
+    rng = random.Random(11)
     for g in [chain_loop, fork_loops] + corpus:
-        alg = LeavittAlgebra(g)
-        by_range = {}
-        for (_, target), group in _paths_by_ends(g, 4).items():
-            by_range.setdefault(target, []).extend(group)
-        for group in by_range.values():
-            for m in (Monomial(p, q) for p in group for q in group):
-                if m.size > 4 or not alg.is_basic(m):
-                    continue
-                touching = _touching_edges(g, m)
-                assert len(set(touching)) == len(touching)
-                for e in g.edge_ids():
-                    ep, tp = g.edge_path(e), g.vertex_path(g.target_of(e))
-                    products = [
-                        alg._monomial_product(a, b)
-                        for gen in (Monomial(ep, tp), Monomial(tp, ep))
-                        for a, b in ((m, gen), (gen, m))
-                    ]
-                    nonzero = any(x is not None for x in products)
-                    assert nonzero == (e in touching), (g, str(m), e)
+        key = {e: 2 * k for k, e in enumerate(g.edge_ids())}
+        gens = []
+        for e in g.edge_ids():
+            ep, tp = g.edge_path(e), g.vertex_path(g.target_of(e))
+            gens += [(key[e], Monomial(ep, tp)), (key[e] + 1, Monomial(tp, ep))]
+        groups = _paths_by_ends(g, 4).values()
+        for alg in _oracle_settings(g, rng)[::2]:  # canonical, then other special edges
+            for group in groups:
+                for m in (Monomial(p, q) for p in group for q in group):
+                    if m.size > 4 or not alg.is_basic(m):
+                        continue
+                    expected = Counter()
+                    for k, gen in gens:
+                        for a, b, sign in ((m, gen, 1), (gen, m, -1)):
+                            product = alg._monomial_product(a, b)
+                            if product is not None:
+                                expected[k, product, sign] += 1
+                    assert Counter(_edge_terms(g, m, key)) == expected, (g, str(m))
 
 
 def test_oracle_output_is_central(g3, chain_loop):
@@ -507,6 +552,14 @@ def test_oracle_bound_covers_basis_support(graphs, chain_loop):
             alg = LeavittAlgebra(g)
             for el in center_basis(alg, d).elements:
                 assert el.support_size() <= bound
+
+
+def test_oracle_bound_is_base_plus_degree(graphs, corpus):
+    # verify computes the base once and adds |d| for each degree
+    for g in list(graphs.values()) + corpus:
+        base = oracle_bound(g, 0)
+        for d in range(-4, 5):
+            assert oracle_bound(g, d) == base + abs(d), (g, d)
 
 
 def test_span_helpers(g3):

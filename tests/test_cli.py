@@ -184,6 +184,26 @@ def test_verify_fails_when_bound_is_too_small(capsys):
     assert "degree 2: oracle dim 0, predicted 1, bound 0: FAIL" in out
 
 
+def test_verify_searches_the_bound_base_once(capsys, monkeypatch):
+    # the bound of degree d is oracle_bound(g, 0) + |d|, so one call serves
+    # every degree, and --max-len needs none
+    original, calls = leavitt.cli.oracle_bound, []
+
+    def counted(g, d):
+        calls.append(d)
+        return original(g, d)
+
+    monkeypatch.setattr(leavitt.cli, "oracle_bound", counted)
+    code, report, _ = run_json(capsys, "verify", fx("g3"), "--max-degree", "4")
+    assert code == 0 and calls == [0]
+    g3 = parse_graph(pathlib.Path(fx("g3")).read_text())
+    bounds = {row["degree"]: row["bound"] for row in report["payload"]["degrees"]}
+    assert bounds == {d: original(g3, d) for d in range(-4, 5)}
+    calls.clear()
+    code, _, _ = run(capsys, "verify", fx("g3"), "--max-degree", "1", "--max-len", "6")
+    assert code == 0 and calls == []
+
+
 def test_verify_rejects_negative_arguments(capsys):
     code, _, err = run(capsys, "verify", fx("g1"), "--max-degree", "-1")
     assert code == 2 and "--max-degree" in err

@@ -1,0 +1,77 @@
+"""Byte-for-byte CLI output on the fixtures, replayed against a checked-in table.
+
+Each line of ``golden_cli.tsv`` is one run: the arguments after the fixture
+file, the exit code, and the sha256 of stdout and of stderr.  The table
+covers 6 fixtures x ``rat``/``fp:2``/``fp:97`` x ``analyze``,
+``idempotents``, ``verify --max-degree 4`` and ``center --degree 0|3|-2`` x
+text and ``--json``: 216 runs.  A change that is meant to keep every output
+must leave the table as it is.  When output is meant to change, regenerate it
+with ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
+"""
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+
+from leavitt.cli import main
+
+HERE = pathlib.Path(__file__).parent
+TABLE = HERE / "golden_cli.tsv"
+FIXTURES = ["g1", "g2", "g3", "g4", "g5", "g6"]
+FIELDS = ["rat", "fp:2", "fp:97"]
+COMMANDS = [
+    ["analyze"],
+    ["idempotents"],
+    ["verify", "--max-degree", "4"],
+    ["center", "--degree", "0"],
+    ["center", "--degree", "3"],
+    ["center", "--degree", "-2"],
+]
+
+
+def _runs():
+    """(fixture, argv) for every run of the table, in table order."""
+    for name in FIXTURES:
+        path = str(HERE / "fixtures" / f"{name}.lpa")
+        for field in FIELDS:
+            for command in COMMANDS:
+                for json_flag in ([], ["--json"]):
+                    yield name, [command[0], path, *command[1:], "--field", field, *json_flag]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _replay(argv):
+    """Exit code and the sha256 of stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, _digest(out.getvalue()), _digest(err.getvalue())
+
+
+def _line(name, argv, code, out, err) -> str:
+    # the fixture's path is not part of the output, so the table names it only
+    args = " ".join([argv[0], name] + argv[2:])
+    return f"{args}\t{code}\t{out}\t{err}"
+
+
+def _table():
+    return [_line(name, argv, *_replay(argv)) for name, argv in _runs()]
+
+
+def test_cli_output_matches_golden_table():
+    expected = TABLE.read_text().splitlines()
+    assert len(expected) == 216
+    got = _table()
+    mismatched = [want.split("\t")[0] for want, have in zip(expected, got) if want != have]
+    assert not mismatched, mismatched
+    assert got == expected
+
+
+if __name__ == "__main__":
+    TABLE.write_text("\n".join(_table()) + "\n")
+    print(f"wrote {TABLE}", file=sys.stderr)
