@@ -3,10 +3,11 @@
 Each line of ``golden_cli.tsv`` is one run: the arguments after the fixture
 file, the exit code, and the sha256 of stdout and of stderr.  The table
 covers 6 fixtures x ``rat``/``fp:2``/``fp:97`` x ``analyze``,
-``idempotents``, ``verify --max-degree 4`` and ``center --degree 0|3|-2`` x
-text and ``--json``: 216 runs.  A change that is meant to keep every output
-must leave the table as it is.  When output is meant to change, regenerate it
-with ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
+``idempotents``, ``verify --max-degree 4`` and ``center --degree
+0|3|-2|6|-6`` x text and ``--json``: 288 runs.  A change that is meant to
+keep every output must leave the table as it is.  When output is meant to
+change, regenerate it with ``PYTHONPATH=src python tests/test_golden_cli.py``
+and review the diff.
 """
 
 import contextlib
@@ -28,6 +29,8 @@ COMMANDS = [
     ["center", "--degree", "0"],
     ["center", "--degree", "3"],
     ["center", "--degree", "-2"],
+    ["center", "--degree", "6"],
+    ["center", "--degree", "-6"],
 ]
 
 
@@ -65,7 +68,7 @@ def _table():
 
 def test_cli_output_matches_golden_table():
     expected = TABLE.read_text().splitlines()
-    assert len(expected) == 216
+    assert len(expected) == 288
     got = _table()
     mismatched = [want.split("\t")[0] for want, have in zip(expected, got) if want != have]
     assert not mismatched, mismatched
