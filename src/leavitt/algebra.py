@@ -95,9 +95,6 @@ class Rationals:
     def parse_scalar(self, token: str):
         return _exact(Fraction(token))
 
-    def format_scalar(self, x) -> str:
-        return str(x)
-
 
 @dataclass(frozen=True)
 class PrimeField:
@@ -137,9 +134,6 @@ class PrimeField:
         if slash:
             value = value * self.inverse(int(den)) % self.p
         return value
-
-    def format_scalar(self, x: int) -> str:
-        return str(x)
 
 
 # -- monomials and elements -------------------------------------------------
@@ -299,10 +293,9 @@ class Element:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        fmt = self.algebra.field.format_scalar
         parts = []
         for m, c in self.terms():
-            cs = fmt(c)
+            cs = str(c)
             if cs == "1":
                 parts.append(str(m))
             elif cs == "-1":

@@ -1,16 +1,17 @@
 """Central elements of a Leavitt path algebra and an independent cross-check.
 
 The constructive side builds central idempotents from arrival paths into
-finitary hereditary subsets and graded basis elements from cycle powers
-conjugated out over those arrivals.  ``brute_force_center`` knows none of
-that theory: it solves the linear commutation constraints directly over the
-monomial basis and is used to validate the construction.  Its unknowns come
-sorted off path layers built in edge declaration order, and each commutator
-entry from a one-edge rule, with no generic product.  Most of its rows have
-one entry, or one once the columns forced to zero are dropped, so
-``_nullspace`` sets the forced columns aside and eliminates only the rest.  A
-forced column's row in the unique reduced row echelon form is its unit
-vector, so the rest of that form, and the basis, do not change.
+finitary hereditary subsets, and writes each graded basis element as the sum
+of [p rot^k][p] over the arrival paths p into an exit-free cycle.
+``brute_force_center`` knows none of that theory: it solves the linear
+commutation constraints directly over the monomial basis and is used to
+validate the construction.  Its unknowns come sorted off path layers built
+in edge declaration order, and each commutator entry from a one-edge rule,
+with no generic product.  Most of its rows have one entry, or one once the
+columns forced to zero are dropped, so ``_nullspace`` sets the forced
+columns aside and eliminates only the rest.  A forced column's row in the
+unique reduced row echelon form is its unit vector, so the rest of that
+form, and the basis, do not change.
 """
 
 from __future__ import annotations
@@ -62,12 +63,11 @@ def idempotent(algebra: LeavittAlgebra, ws) -> Element:
     return Element(algebra, algebra._normal_form({Monomial(p, p): one for p in arr.paths}))
 
 
-def _rotation_power(algebra: LeavittAlgebra, c: Cycle, k: int) -> Element:
-    """The k-th power of the rotation sum of an exit-free cycle, written
-    term for term as the sum over cycle vertices s of [rot_s^k][@s].
+def cycle_generator(algebra: LeavittAlgebra, c: Cycle) -> Element:
+    """Sum of the rotations of an exit-free cycle, each based at its own
+    start vertex.  Central in the corner algebra over the cycle's vertices.
 
-    Rotations at different vertices multiply to zero and [rot_s^i][@s] times
-    [rot_s^j][@s] is [rot_s^(i+j)][@s], whose empty right path keeps it basic.
+    Each term [rot_s][@s] has an empty right path, so it is basic.
     """
     exits = cycle_exits(algebra.graph, c)
     if exits:
@@ -77,15 +77,8 @@ def _rotation_power(algebra: LeavittAlgebra, c: Cycle, k: int) -> Element:
     one = algebra.field.one
     terms = {}
     for i, s in enumerate(c.sources):
-        rot = (c.edges[i:] + c.edges[:i]) * k
-        terms[Monomial(Path(s, rot, s), Path(s, (), s))] = one
-    return Element(algebra, algebra._normal_form(terms))
-
-
-def cycle_generator(algebra: LeavittAlgebra, c: Cycle) -> Element:
-    """Sum of the rotations of an exit-free cycle, each based at its own
-    start vertex.  Central in the corner algebra over the cycle's vertices."""
-    return _rotation_power(algebra, c, 1)
+        terms[Monomial(Path(s, c.edges[i:] + c.edges[:i], s), Path(s, (), s))] = one
+    return Element(algebra, terms)
 
 
 def embed(algebra: LeavittAlgebra, ws, a: Element) -> Element:
@@ -130,10 +123,13 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
     """Basis of the degree-d homogeneous piece of the center.
 
     Degree 0 yields the idempotents of the class supports.  Degree d != 0
-    yields, for each exit-free cycle of length dividing |d| that generates a
-    Laurent summand, the matching power of its rotation sum, written in
-    closed form, conjugated out over the cycle's own vertex set (then starred
-    for negative d).
+    yields, for each Laurent summand whose cycle c has length n dividing
+    |d|, the sum over the arrival paths p into c's vertex set of [p rot^k][p]
+    (sides swapped for d < 0), with k = |d|/n and rot the cycle read from
+    where p ends.  That is ``embed(alg, C, cycle_generator(alg, c) ** k)``,
+    starred for d < 0, term for term.  Every term is basic: its left side
+    ends with a cycle edge and its right side does not.  The index built c
+    with no exit, so nothing is re-checked.
     """
     report = center_structure(algebra.graph)
     elements: list[Element] = []
@@ -144,15 +140,19 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
             sup = "{" + ",".join(algebra.graph.sorted_vertices(s.support)) + "}"
             provenance.append(f"idempotent of {sup}")
         return CentralBasis(0, tuple(elements), tuple(provenance))
+    one = algebra.field.one
     for s in report.summands:
-        if s.cycle is None or d % s.cycle.length != 0:
+        c = s.cycle
+        if c is None or d % c.length != 0:
             continue
-        k = abs(d) // s.cycle.length
-        lifted = embed(algebra, s.cycle.vertex_set, _rotation_power(algebra, s.cycle, k))
-        if d < 0:
-            lifted = lifted.star()
-        elements.append(lifted)
-        provenance.append(f"cycle {s.cycle} to the power {k}")
+        k = abs(d) // c.length
+        rot = {v: (c.edges[i:] + c.edges[:i]) * k for i, v in enumerate(c.sources)}
+        terms = {}
+        for p in _finite_arrivals(algebra.graph, c.vertex_set).paths:
+            lifted = Path(p.source, p.edges + rot[p.target], p.target)
+            terms[Monomial(lifted, p) if d > 0 else Monomial(p, lifted)] = one
+        elements.append(Element(algebra, terms))
+        provenance.append(f"cycle {c} to the power {k}")
     return CentralBasis(d, tuple(elements), tuple(provenance))
 
 
@@ -173,16 +173,17 @@ def oracle_bound(graph: Graph, d: int) -> int:
     """Monomial size cap that provably captures the whole degree-d center.
 
     Every constructed basis element of degree d has monomial size at most
-    2*base + |d| where base is the longest arrival path into any class
-    support or any Laurent cycle's vertex set; the extra slack leaves room
-    for the oracle to notice elements just past the boundary.
+    2*base + |d| where base is the longest arrival path into a field
+    summand's support or a Laurent cycle's vertex set.  Any arrival path
+    into a Laurent support extends, along a shortest path into the cycle,
+    to one at least as long into the cycle, so the support needs no search
+    of its own.  The extra slack leaves room for the oracle to notice
+    elements just past the boundary.
     """
-    report = center_structure(graph)
     base = 0
-    for s in report.summands:
-        base = max(base, _finite_arrivals(graph, s.support).max_length())
-        if s.cycle is not None:
-            base = max(base, _finite_arrivals(graph, s.cycle.vertex_set).max_length())
+    for s in center_structure(graph).summands:
+        ws = s.support if s.cycle is None else s.cycle.vertex_set
+        base = max(base, _finite_arrivals(graph, ws).max_length())
     return 2 * base + abs(d) + 2
 
 

@@ -79,9 +79,6 @@ class Path(NamedTuple):
     def length(self) -> int:
         return len(self.edges)
 
-    def is_closed(self) -> bool:
-        return self.source == self.target
-
     def __str__(self) -> str:
         return " ".join(self.edges) if self.edges else "@" + self.source
 
@@ -204,12 +201,6 @@ class Graph:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
-    def is_sink(self, v: str) -> bool:
-        return not self.out_edges(v)
-
-    def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self._vertices if not self._out[v])
-
     def vertex_index(self, v: str) -> int:
         try:
             return self._vindex[v]
@@ -265,8 +256,7 @@ class Graph:
         sources = tuple(self.source_of(e) for e in edges)
         if len(set(sources)) != len(sources):
             raise NotACycleError("edge sources repeat")
-        p = self.path(sources[0], edges)
-        if not p.is_closed():
+        if self.path(sources[0], edges).target != sources[0]:
             raise NotACycleError("edge sequence is not closed")
         i = min(range(len(edges)), key=lambda j: self.vertex_index(sources[j]))
         rot = edges[i:] + edges[:i]
@@ -324,12 +314,6 @@ class Specialization:
 
     def __getitem__(self, v: str) -> str:
         return self._choices[v]
-
-    def get(self, v: str) -> str | None:
-        return self._choices.get(v)
-
-    def items(self):
-        return self._choices.items()
 
     def is_special(self, e: str) -> bool:
         return e in self.special_edges

@@ -40,7 +40,6 @@ __all__ = [
     "is_finitary",
     "minimal_hereditary_sets",
     "equivalence_classes",
-    "class_support",
     "annihilator_boolean_algebra",
     "finitary_boolean_subalgebra",
     "center_structure",
@@ -366,15 +365,6 @@ def equivalence_classes(g: Graph) -> list[tuple[int, ...]]:
     the components containing a cycle reach.
     """
     return list(_structure(g).classes)
-
-
-def class_support(g: Graph, members: Iterable[int]) -> frozenset[str]:
-    """Double annihilator of the union of the minimal sets in one class."""
-    cls = tuple(sorted(members))
-    idx = _structure(g)
-    if cls not in idx.classes:
-        raise ValueError(f"{cls!r} is not an equivalence class of this graph")
-    return idx.summands[idx.classes.index(cls)].support
 
 
 def _joins(g: Graph, groups: list[tuple[int, ...]]) -> list[frozenset[str]]:

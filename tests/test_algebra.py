@@ -62,7 +62,7 @@ def test_vertex_decomposition_relation(algebras):
     for alg in algebras.values():
         g = alg.graph
         for v in g.vertices:
-            if g.is_sink(v):
+            if not g.out_edges(v):
                 continue
             total = alg.zero()
             for e in g.out_edges(v):
@@ -599,7 +599,6 @@ def test_rationals_field_object():
     r = Rationals()
     assert r.coerce(2) == Fraction(2)
     assert r.parse_scalar("-3/2") == Fraction(-3, 2)
-    assert r.format_scalar(Fraction(5, 3)) == "5/3"
     assert r == Rationals()
     with pytest.raises(TypeError):
         r.coerce(0.5)

@@ -14,14 +14,13 @@ from leavitt import (
     PrimeField,
     Rationals,
     Specialization,
+    arrival_paths,
     brute_force_center,
     center_basis,
     center_dimension_predicted,
     center_structure,
-    class_support,
     cycle_generator,
     embed,
-    equivalence_classes,
     finitary_boolean_subalgebra,
     idempotent,
     oracle_bound,
@@ -30,6 +29,7 @@ from leavitt import (
     spans_equal,
 )
 
+import leavitt.center
 from leavitt.center import _candidates, _edge_terms, _nullspace, _row_reduce
 
 from oracles import random_graph
@@ -222,7 +222,41 @@ def test_center_basis_cycle_powers_equal_repeated_products(field, chain_loop, fo
                 if d % c.length == 0:
                     z = embed(alg, c.vertex_set, cycle_generator(alg, c) ** (abs(d) // c.length))
                     expected.append(z.star() if d < 0 else z)
-            assert center_basis(alg, d).elements == tuple(expected), d
+            basis = center_basis(alg, d).elements
+            assert basis == tuple(expected), d
+            # written term for term: every term basic, with coefficient one
+            assert all(alg.is_basic(m) and c == field.one for el in basis for m, c in el.terms()), d
+
+
+def test_center_basis_cycle_powers_take_no_generic_step(monkeypatch, g3, chain_loop, fork_loops):
+    # for d != 0 every term is written straight from its arrival path: no
+    # normal form, no embed, no exit check and no star
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    patched = [
+        (LeavittAlgebra, "_normal_form"),
+        (leavitt.center, "embed"),
+        (leavitt.center, "cycle_exits"),
+        (Element, "star"),
+    ]
+    for owner, name in patched:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    built = 0
+    for g in (g3, chain_loop, fork_loops):
+        alg = LeavittAlgebra(g)
+        for d in (-6, -3, -2, -1, 1, 2, 3, 6):
+            built += len(center_basis(alg, d))
+    assert built == 28 and calls == []
+    # the wrappers do count: degree 0 puts the idempotents in normal form
+    center_basis(LeavittAlgebra(g3), 0)
+    assert "_normal_form" in calls
 
 
 def test_center_basis_conjugates_past_the_cycle(chain_loop):
@@ -528,8 +562,7 @@ def test_zero_one_idempotent_combinations_are_central(graphs):
 
     for g in graphs.values():
         alg = LeavittAlgebra(g)
-        classes = equivalence_classes(g)
-        supports = [class_support(g, cls) for cls in classes]
+        supports = [s.support for s in center_structure(g).summands]
         idems = [idempotent(alg, u) for u in supports]
         for bits in iproduct((0, 1), repeat=len(idems)):
             combo = alg.zero()
@@ -552,6 +585,27 @@ def test_oracle_bound_covers_basis_support(graphs, chain_loop):
             alg = LeavittAlgebra(g)
             for el in center_basis(alg, d).elements:
                 assert el.support_size() <= bound
+
+
+def test_oracle_bound_searches_once_per_summand(monkeypatch, corpus, chain_loop, fork_loops):
+    # the longest arrival into a Laurent cycle is at least as long as any into
+    # its summand's support, so searching both gives the same bound
+    searched = []
+
+    def counted(g, ws):
+        searched.append(ws)
+        return arrival_paths(g, ws)
+
+    monkeypatch.setattr(leavitt.center, "arrival_paths", counted)
+    for g in [chain_loop, fork_loops] + corpus:
+        summands = center_structure(g).summands
+        base = 0
+        for s in summands:
+            for ws in [s.support] + ([s.cycle.vertex_set] if s.cycle is not None else []):
+                base = max(base, arrival_paths(g, ws).max_length())
+        searched.clear()
+        assert oracle_bound(g, 0) == 2 * base + 2, g
+        assert len(searched) == len(summands)
 
 
 def test_oracle_bound_is_base_plus_degree(graphs, corpus):

@@ -16,8 +16,9 @@ EARLIER_EXPORTS = {
     "center_dimension_predicted", "oracle_bound", "brute_force_center", "span_dimension",
     "spans_equal", "__version__",
 }
-# the unused graph API, and the Z/p scalar class once residues became plain ints
-REMOVED = {"CycleCapExceeded", "descendants", "simple_cycles", "points_to", "FpScalar"}
+# the unused graph API, the Z/p scalar class once residues became plain ints, and
+# class_support, which the summands of center_structure already carry
+REMOVED = {"CycleCapExceeded", "descendants", "simple_cycles", "points_to", "FpScalar", "class_support"}
 
 
 def test_exports_are_the_earlier_ones_minus_the_removed_graph_api():

@@ -14,7 +14,6 @@ from leavitt import (
     annihilator_boolean_algebra,
     arrival_paths,
     center_structure,
-    class_support,
     equivalence_classes,
     finitary_boolean_subalgebra,
     is_finitary,
@@ -228,18 +227,20 @@ def test_equivalence_classes_partition_property():
 
 
 def test_class_support(g3, g6):
-    assert class_support(g3, (0,)) == fs("v2", "v3", "v4")
-    assert class_support(g3, (1,)) == fs("v5")
-    assert class_support(g6, (0, 1)) == fs("v0", "w1", "w2")
-    with pytest.raises(ValueError):
-        class_support(g6, (0,))
+    def supports(g):
+        return [(s.members, s.support) for s in center_structure(g).summands]
+
+    assert supports(g3) == [((0,), fs("v2", "v3", "v4")), ((1,), fs("v5"))]
+    assert supports(g6) == [((0, 1), fs("v0", "w1", "w2"))]
 
 
 def test_class_supports_are_disjoint_and_finitary():
     rng = random.Random(310)
     for _ in range(60):
         g = random_graph(rng)
-        supports = [class_support(g, members) for members in equivalence_classes(g)]
+        summands = center_structure(g).summands
+        assert [s.members for s in summands] == equivalence_classes(g)
+        supports = [s.support for s in summands]
         for i, u in enumerate(supports):
             assert is_finitary(g, u)
             assert is_hereditary(g, u)
@@ -434,8 +435,10 @@ class _Oracle:
 def _check_structure(g, oracle, algebras=True):
     assert minimal_hereditary_sets(g) == oracle.minimal
     assert equivalence_classes(g) == oracle.classes
-    for cls in oracle.classes:
-        assert class_support(g, cls) == oracle.support(cls)
+    summands = center_structure(g).summands
+    assert [s.members for s in summands] == oracle.classes
+    for s in summands:
+        assert s.support == oracle.support(s.members)
     if algebras:
         assert annihilator_boolean_algebra(g) == oracle.joins([(i,) for i in range(len(oracle.minimal))])
         assert finitary_boolean_subalgebra(g) == oracle.joins(oracle.classes)
