@@ -481,8 +481,9 @@ class LeavittAlgebra:
         return None
 
     def monomial_key(self, m: Monomial):
+        left, right = m
         key = self.graph.path_key
-        return (m.left.length, m.right.length, key(m.left), key(m.right))
+        return (len(left.edges), len(right.edges), key(left), key(right))
 
     # -- element text -------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Central elements of a Leavitt path algebra and an independent cross-check.
 
-The constructive side builds central idempotents from arrival paths into
-finitary hereditary subsets, and writes each graded basis element as the sum
-of [p rot^k][p] over the arrival paths p into an exit-free cycle.
+The constructive side writes each central idempotent, the sum of [p][p]
+over the arrival paths p into a finitary hereditary subset, straight in
+normal form in one pass over the vertices that reach it, successors first,
+and each graded basis element as the sum of [p rot^k][p] over the arrival
+paths p into an exit-free cycle.
 ``brute_force_center`` knows none of that theory: it solves the linear
 commutation constraints directly over the monomial basis and is used to
 validate the construction.  Its unknowns come sorted off path layers built
@@ -23,6 +25,7 @@ from .hereditary import (
     FiniteArrivals,
     InfiniteArrivals,
     NotFinitaryError,
+    _arrival_region,
     arrival_paths,
     center_structure,
 )
@@ -56,11 +59,35 @@ def _finite_arrivals(graph: Graph, ws) -> FiniteArrivals:
 
 
 def idempotent(algebra: LeavittAlgebra, ws) -> Element:
-    """Central idempotent of a finitary annihilator subset: sum of p p^*
-    over all arrival paths p into the subset."""
-    arr = _finite_arrivals(algebra.graph, ws)
-    one = algebra.field.one
-    return Element(algebra, algebra._normal_form({Monomial(p, p): one for p in arr.paths}))
+    """Central idempotent of a finitary annihilator subset W: the sum of
+    p p^* over the arrival paths p into W, written straight in normal form.
+
+    One pass over the vertices that reach W, successors first, gives N_v,
+    the sum over the arrival paths from v; c_u is the coefficient of u in
+    N_u, and 0 when u does not reach W.  N_w = w on W.  Off W, with e the
+    special edge at v, c_v = c_t(e) and N_v is c_v v, plus c [f a][f a] for
+    each out-edge f and term c [a][a] of N_t(f) with |a| >= 1, plus
+    (c_t(g) - c_v) [g][g] for each out-edge g, which is 0 for g = e.  That
+    is the sum of f N_t(f) f^* with its one non-basic term, c_t(e) [e][e],
+    rewritten by the vertex relation [e][e] = v - sum of [g][g] over g != e;
+    [f a][f a] keeps a's last edge, and no two terms are one monomial.
+    """
+    g, field = algebra.graph, algebra.field
+    W, below = _arrival_region(g, ws)
+    signs = {1: field.one, -1: field.reduce(-field.one)}
+    coeff = dict.fromkeys(W, 1)  # c_v for every v that reaches W
+    tails = dict.fromkeys(W, ())  # the terms c [a][a] of N_v with |a| >= 1, as (a, c)
+    for v in below:
+        cv = coeff[v] = coeff.get(g.target_of(algebra.specialization[v]), 0)
+        acc = tails[v] = []
+        for f in g.out_edges(v):
+            t = g.target_of(f)
+            acc.extend((Path(v, (f,) + a.edges, a.target), c) for a, c in tails.get(t, ()))
+            if diff := coeff.get(t, 0) - cv:
+                acc.append((Path(v, (f,), t), signs[diff]))
+    terms = {Monomial(p, p): field.one for p in (Path(v, (), v) for v, cv in coeff.items() if cv)}
+    terms.update((Monomial(a, a), c) for acc in tails.values() for a, c in acc)
+    return Element(algebra, terms)
 
 
 def cycle_generator(algebra: LeavittAlgebra, c: Cycle) -> Element:

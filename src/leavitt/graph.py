@@ -240,11 +240,12 @@ class Graph:
     def path_key(self, p: Path):
         """Sort key: length, then the declaration indexes of the edges, then
         that of the source.  Every monomial and path order derives from it."""
+        source, edges, _ = p
         try:
-            return (p.length, tuple(map(self._eindex.__getitem__, p.edges)), self._vindex[p.source])
+            return (len(edges), tuple(map(self._eindex.__getitem__, edges)), self._vindex[source])
         except KeyError as exc:
             # the edges are looked up first, so an unknown edge is the one reported
-            if any(e not in self._eindex for e in p.edges):
+            if any(e not in self._eindex for e in edges):
                 raise UnknownEdgeError(f"unknown edge {exc.args[0]!r}") from None
             raise UnknownVertexError(f"unknown vertex {exc.args[0]!r}") from None
 

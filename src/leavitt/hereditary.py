@@ -172,13 +172,9 @@ def _shortest_path(g: Graph, start: str, goal: Iterable[str]) -> Path:
     raise AssertionError(f"{start!r} does not reach the goal")
 
 
-def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArrivals:
-    """All paths that end in the subset with every earlier source outside it.
-
-    Each member vertex counts as a length-0 arrival path.  The empty subset
-    has no arrival paths.  When the set is infinite, returns the witness
-    cycle (disjoint from the subset) and a connector path into the subset.
-    """
+def _arrival_region(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], list[str]]:
+    """The hereditary subset W and the vertices outside it that reach it,
+    successors first; NotFinitaryError when a cycle lies among the latter."""
     W = _require_hereditary(g, ws)
     idx = _index(g)
     outside = idx.reach(W) & ~_mask(g, W)
@@ -186,21 +182,27 @@ def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArriv
     if looping:
         # shortest cycle through the first-declared cycle vertex outside W
         v = g.vertices[(looping & -looping).bit_length() - 1]
-        witness = g.cycle(_shortest_path(g, v, (v,)).edges)
-        return InfiniteArrivals(witness, _shortest_path(g, v, W))
+        raise NotFinitaryError(W, g.cycle(_shortest_path(g, v, (v,)).edges), _shortest_path(g, v, W))
     # outside W is acyclic; reverse topological order puts successors first
-    tails: dict[str, list[tuple[str, ...]]] = {}
+    return W, sorted(_members(g, outside), key=idx.comp_of.__getitem__, reverse=True)
+
+
+def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArrivals:
+    """All paths that end in the subset with every earlier source outside it.
+
+    Each member vertex counts as a length-0 arrival path.  The empty subset
+    has no arrival paths.  When the set is infinite, returns the witness
+    cycle (disjoint from the subset) and a connector path into the subset.
+    """
+    try:
+        W, below = _arrival_region(g, ws)
+    except NotFinitaryError as exc:
+        return InfiniteArrivals(exc.witness, exc.connector)
+    tails = dict.fromkeys(W, ((),))  # the edge sequences of the arrival paths from each vertex
     paths = [g.vertex_path(w) for w in W]
-    for v in sorted(_members(g, outside), key=idx.comp_of.__getitem__, reverse=True):
-        acc: list[tuple[str, ...]] = []
-        for e in g.out_edges(v):
-            t = g.target_of(e)
-            if t in W:
-                acc.append((e,))
-            elif t in tails:
-                acc.extend((e,) + rest for rest in tails[t])
-        tails[v] = acc
-        paths.extend(Path(v, seq, g.target_of(seq[-1])) for seq in acc)
+    for v in below:
+        tails[v] = [(e,) + rest for e in g.out_edges(v) for rest in tails.get(g.target_of(e), ())]
+        paths.extend(Path(v, seq, g.target_of(seq[-1])) for seq in tails[v])
     paths.sort(key=g.path_key)
     return FiniteArrivals(tuple(paths))
 

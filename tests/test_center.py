@@ -7,6 +7,7 @@ import pytest
 from leavitt import (
     Element,
     HasExitError,
+    InfiniteArrivals,
     LeavittAlgebra,
     Monomial,
     NotFinitaryError,
@@ -14,6 +15,7 @@ from leavitt import (
     PrimeField,
     Rationals,
     Specialization,
+    UnknownVertexError,
     arrival_paths,
     brute_force_center,
     center_basis,
@@ -30,9 +32,10 @@ from leavitt import (
 )
 
 import leavitt.center
+import leavitt.hereditary
 from leavitt.center import _candidates, _edge_terms, _nullspace, _row_reduce
 
-from oracles import random_graph
+from oracles import hereditary_subsets, random_graph
 
 
 def fs(*names):
@@ -71,6 +74,88 @@ def test_idempotent_errors(g2, g3):
     with pytest.raises(NotFinitaryError) as exc:
         idempotent(LeavittAlgebra(g2), fs("v2"))
     assert str(exc.value.witness) == "(c)"
+
+
+def test_idempotent_rejects_bad_subsets(g2, g3):
+    alg = LeavittAlgebra(g3)
+    with pytest.raises(TypeError, match="^expected a collection of vertex ids, not the string 'v5'$"):
+        idempotent(alg, "v5")
+    with pytest.raises(UnknownVertexError, match="^unknown vertex 'v9'$"):
+        idempotent(alg, fs("v5", "v9"))
+    with pytest.raises(NotHereditaryError, match="^not hereditary: edge 'a' leaves the subset at 'v1' -> 'v2'$"):
+        idempotent(alg, fs("v1"))
+    with pytest.raises(NotFinitaryError) as exc:
+        idempotent(LeavittAlgebra(g2), ["v2"])
+    assert str(exc.value) == "subset is not finitary: cycle (c) stays outside it and reaches it via f"
+    assert exc.value.subset == fs("v2")
+    assert (exc.value.witness, exc.value.connector) == (g2.cycle(["c"]), g2.path("v1", ["f"]))
+
+
+def _reference_idempotent(alg, ws):
+    """The idempotent the generic way: the sum of [p][p] over the arrival
+    paths p into ws, sorted, then put through the stack rewriter."""
+    arr = arrival_paths(alg.graph, ws)
+    if isinstance(arr, InfiniteArrivals):
+        raise NotFinitaryError(frozenset(ws), arr.witness, arr.connector)
+    return Element(alg, alg._normal_form({Monomial(p, p): alg.field.one for p in arr.paths}))
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(97)], ids=["rat", "fp2", "fp97"])
+def test_idempotent_matches_generic_normal_form(field):
+    # the one-pass recursion reads spec[v], so random special edges are used
+    # as well as the canonical ones; a subset that is not finitary must fail
+    # the same way
+    rng = random.Random(4242)
+    finitary = infinite = 0
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=7, max_edges=13)
+        choices = {v: rng.choice(g.out_edges(v)) for v in g.vertices if g.out_edges(v)}
+        algebras = [LeavittAlgebra(g, field=field), LeavittAlgebra(g, Specialization(g, choices), field)]
+        for ws in hereditary_subsets(g):
+            for alg in algebras:
+                try:
+                    expected = _reference_idempotent(alg, ws)
+                except NotFinitaryError as ref:
+                    with pytest.raises(NotFinitaryError) as exc:
+                        idempotent(alg, ws)
+                    got = exc.value
+                    assert (str(got), got.subset, got.witness, got.connector) == (
+                        str(ref), ref.subset, ref.witness, ref.connector
+                    )
+                    infinite += 1
+                    continue
+                assert idempotent(alg, ws)._terms == expected._terms, (g, alg.specialization, ws)
+                finitary += 1
+    assert finitary > 5000 and infinite > 500, (finitary, infinite)
+
+
+def test_idempotent_takes_no_generic_step(monkeypatch, graphs, corpus):
+    # every idempotent is written straight in normal form: no stack rewriter
+    # and no arrival-path list
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(LeavittAlgebra, "_normal_form", counted("_normal_form", LeavittAlgebra._normal_form))
+    for module in (leavitt.center, leavitt.hereditary):
+        monkeypatch.setattr(module, "arrival_paths", counted("arrival_paths", module.arrival_paths))
+    built = 0
+    for g in list(graphs.values()) + corpus:
+        for field in (Rationals(), PrimeField(2)):
+            alg = LeavittAlgebra(g, field=field)
+            for w in finitary_boolean_subalgebra(g):
+                idempotent(alg, w)
+                built += 1
+    assert built > 500 and calls == []
+    # the wrappers do count: embed lists its arrival paths and normal-forms
+    alg = LeavittAlgebra(graphs["g3"])
+    leavitt.center.embed(alg, fs("v5"), alg.vertex("v5"))
+    assert sorted(set(calls)) == ["_normal_form", "arrival_paths"]
 
 
 def test_idempotents_are_central_idempotents(graphs):
@@ -254,9 +339,12 @@ def test_center_basis_cycle_powers_take_no_generic_step(monkeypatch, g3, chain_l
         for d in (-6, -3, -2, -1, 1, 2, 3, 6):
             built += len(center_basis(alg, d))
     assert built == 28 and calls == []
-    # the wrappers do count: degree 0 puts the idempotents in normal form
-    center_basis(LeavittAlgebra(g3), 0)
-    assert "_normal_form" in calls
+    # the wrappers do count: conjugating g3's cycle generator out with embed
+    # and starring it runs all four
+    alg = LeavittAlgebra(g3)
+    (c,) = [s.cycle for s in center_structure(g3).summands if s.cycle is not None]
+    leavitt.center.embed(alg, c.vertex_set, cycle_generator(alg, c)).star()
+    assert sorted(set(calls)) == sorted(name for _, name in patched)
 
 
 def test_center_basis_conjugates_past_the_cycle(chain_loop):
