@@ -7,13 +7,12 @@ and each graded basis element as the sum of [p rot^k][p] over the arrival
 paths p into an exit-free cycle.
 ``brute_force_center`` knows none of that theory: it solves the linear
 commutation constraints directly over the monomial basis and is used to
-validate the construction.  Its unknowns come sorted off path layers built
-in edge declaration order, and each commutator entry from a one-edge rule,
-with no generic product.  Most of its rows have one entry, or one once the
-columns forced to zero are dropped, so ``_nullspace`` sets the forced
-columns aside and eliminates only the rest.  A forced column's row in the
-unique reduced row echelon form is its unit vector, so the rest of that
-form, and the basis, do not change.
+validate the construction.  It works on plain tuples of names: a candidate
+[p][q] is (u, p's edges, q's edges, r), read sorted off path layers, and a
+row key is (generator, left source, left edges, right source, right edges),
+written by a one-edge rule.  A ``Monomial`` is built only for a term of a
+returned element or of the rare non-basic sum put in normal form.  Most
+rows force their column to zero; ``_nullspace`` sets those columns aside.
 """
 
 from __future__ import annotations
@@ -295,10 +294,12 @@ def _nullspace(rows: list[dict], ncols: int, field) -> list[dict]:
     return basis
 
 
-def _edge_terms(graph: Graph, m: Monomial, key: dict) -> list[tuple[int, Monomial, int]]:
-    """The nonzero products of m = [p][q], both paths from u to r, and one
-    edge generator, as (row key, product, sign): sign 1 for m gen, -1 for
-    gen m.  Edge e has row key ``key[e]`` for e and ``key[e] + 1`` for e*.
+def _edge_terms(maps: tuple, c: tuple, key: dict) -> list[tuple[tuple, int]]:
+    """The nonzero products of a candidate c = (u, p, q, r), the monomial
+    m = [p][q], and one edge generator, as (row key, sign): sign 1 for m gen,
+    -1 for gen m.  The row key is (k, left source, left edges, right source,
+    right edges), with k = ``key[e]`` for e and ``key[e] + 1`` for e*;
+    ``maps`` holds the graph's source, target, in- and out-edge maps.
 
     A product of monomials is nonzero exactly when one inner path continues
     the other, so for an edge e:
@@ -307,117 +308,115 @@ def _edge_terms(graph: Graph, m: Monomial, key: dict) -> list[tuple[int, Monomia
       e* m = [p'][q] when p = e p', and [@t(e)][q e] when p is the vertex r;
     and every other product is 0.
     """
-    p, q = m
-    u, r = p.source, p.target
+    src, dst, ins, outs = maps
+    u, p, q, r = c
     terms = []
-    for e in graph.in_edges(u):
-        s, k = graph.source_of(e), key[e]
-        terms.append((k, Monomial(Path(s, (e,) + p.edges, r), q), -1))
-        terms.append((k + 1, Monomial(p, Path(s, (e,) + q.edges, r)), 1))
-    if q.edges:
-        e = q.edges[0]
-        terms.append((key[e], Monomial(p, Path(graph.target_of(e), q.edges[1:], r)), 1))
-    if p.edges:
-        e = p.edges[0]
-        terms.append((key[e] + 1, Monomial(Path(graph.target_of(e), p.edges[1:], r), q), -1))
-    if not (p.edges and q.edges):
-        for e in graph.out_edges(r):
-            t = graph.target_of(e)
-            tp = Path(t, (), t)
-            if not q.edges:
-                terms.append((key[e], Monomial(Path(u, p.edges + (e,), t), tp), 1))
-            if not p.edges:
-                terms.append((key[e] + 1, Monomial(tp, Path(u, q.edges + (e,), t)), -1))
+    for e in ins[u]:
+        s, k = src[e], key[e]
+        terms.append(((k, s, (e,) + p, u, q), -1))
+        terms.append(((k + 1, u, p, s, (e,) + q), 1))
+    if q:
+        terms.append(((key[q[0]], u, p, dst[q[0]], q[1:]), 1))
+    if p:
+        terms.append(((key[p[0]] + 1, dst[p[0]], p[1:], u, q), -1))
+    if not (p and q):
+        for e in outs[r]:
+            if not q:
+                terms.append(((key[e], u, p + (e,), dst[e], ()), 1))
+            if not p:
+                terms.append(((key[e] + 1, dst[e], (), u, q + (e,)), -1))
     return terms
 
 
-def _candidates(algebra: LeavittAlgebra, d: int, max_support: int) -> list[Monomial]:
-    """The oracle's unknowns: basic monomials [p][q] of degree d and size at
-    most max_support whose two paths share a source, in ``monomial_key`` order.
+def _candidates(algebra: LeavittAlgebra, d: int, max_support: int) -> list[tuple]:
+    """The oracle's unknowns, basic monomials [p][q] of degree d and size at
+    most max_support whose paths share a source u and range r, in
+    ``monomial_key`` order, each as the flat tuple (u, p's edges, q's edges, r).
 
-    Layer 0 holds the vertex paths in declaration order, layer 1 the edges in
-    declaration order, and each later layer extends the one before through
-    ``out_edges``, which keep declaration order too.  Every layer is then in
-    ``Graph.path_key`` order, so the candidates come out sorted with no sort.
+    Layer 0 holds the vertices and layer 1 the edges, and each later layer
+    extends the one before through the out-edges, all in declaration order.
+    So every layer is in ``Graph.path_key`` order, and no sort is needed.
     """
-    g = algebra.graph
-    by_len: list[list[Path]] = [[g.vertex_path(v) for v in g.vertices]]
+    g, special = algebra.graph, algebra.specialization.special_edges
+    dst, outs = g._dst, g._out
+    by_len = [[(v, (), v) for v in g.vertices]]
     limit = (max_support + abs(d)) // 2
     if limit >= 1:
-        by_len.append([g.edge_path(e) for e in g.edge_ids()])
+        by_len.append([(s, (e,), t) for e, s, t in g.edges])
     for _ in range(limit - 1):
-        nxt = []
-        for p in by_len[-1]:
-            for e in g.out_edges(p.target):
-                nxt.append(Path(p.source, p.edges + (e,), g.target_of(e)))
-        by_len.append(nxt)
+        by_len.append([(s, es + (e,), dst[e]) for s, es, t in by_len[-1] for e in outs[t]])
 
-    candidates: list[Monomial] = []
+    candidates: list[tuple] = []
     for lq in range(len(by_len)):
         lp = lq + d
-        if lp < 0 or lp >= len(by_len):
+        if lp < 0 or lp >= len(by_len) or lp + lq > max_support:
             continue
-        if lp + lq > max_support:
-            continue
-        by_pair: dict[tuple[str, str], list[Path]] = {}
-        for q in by_len[lq]:
-            by_pair.setdefault((q.source, q.target), []).append(q)
-        for p in by_len[lp]:
-            for q in by_pair.get((p.source, p.target), ()):
-                m = Monomial(p, q)
-                if algebra.is_basic(m):
-                    candidates.append(m)
+        by_pair: dict[tuple[str, str], list] = {}
+        for s, es, t in by_len[lq]:
+            by_pair.setdefault((s, t), []).append(es)
+        for u, p, r in by_len[lp]:
+            for q in by_pair.get((u, r), ()):
+                # not basic: both paths end with the same special edge
+                if not (lp and lq and p[-1] == q[-1] and p[-1] in special):
+                    candidates.append((u, p, q, r))
     return candidates
 
 
-def brute_force_center(
-    algebra: LeavittAlgebra, d: int, max_support: int
-) -> list[Element]:
+def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> list[Element]:
     """Degree-d central elements by direct linear algebra, no structure theory.
 
     Unknowns are the basic monomials of degree d and size at most
     max_support whose two paths share a source vertex: commutation with the
     vertex generators alone forces that diagonal shape, so the restriction
     loses nothing.  Edge and edge-star commutators give the linear system,
-    one row per (generator, output monomial).  Each entry is written straight
-    from the one-edge rules of ``_edge_terms``, with no generic product, and
-    only a sum that is not basic goes through the normal form.
+    one row per (generator, output monomial).  Candidates and row keys are
+    plain tuples of names, each entry comes from a one-edge rule of
+    ``_edge_terms``, and a ``Monomial`` is built only for a term of a
+    returned element or of a non-basic sum put in normal form.
     """
-    g = algebra.graph
-    field = algebra.field
+    g, field, special = algebra.graph, algebra.field, algebra.specialization.special_edges
+    maps = (g._src, g._dst, g._in, g._out)
     candidates = _candidates(algebra, d, max_support)
 
     # edge number k gives the generators e and e*, with row keys 2k and 2k+1
     key = {e: 2 * k for k, e in enumerate(g.edge_ids())}
     signs = {1: field.one, -1: field.reduce(-field.one)}
     rows: dict[tuple, dict] = {}
-    for i, m in enumerate(candidates):
-        terms = _edge_terms(g, m, key)
-        if m.left.edges and m.right.edges:
+    for i, (u, p, q, r) in enumerate(candidates):
+        terms = _edge_terms(maps, (u, p, q, r), key)
+        if p and q:
             # every product keeps a last edge of m, so is basic, and the two
             # products with one generator differ in length: no sum is needed
-            for k, out, sign in terms:
-                rows.setdefault((k, out), {})[i] = signs[sign]
+            for out, sign in terms:
+                rows.setdefault(out, {})[i] = signs[sign]
             continue
         # m gen - gen m, summed per generator before any normal form: for a
-        # loop a at v, a [a][@v] and [a][@v] a are both [a a][@v] and cancel;
-        # only [e][q] and [p][e] can be non-basic
+        # loop a at v, a [a][@v] and [a][@v] a are both [a a][@v] and cancel.
+        # Only e m = [e][q' e] or m e* = [p' e][e], e special, can be non-basic.
         by_gen: dict[int, dict] = {}
-        for k, out, sign in terms:
-            group = by_gen.setdefault(k, {})
+        for out, sign in terms:
+            group = by_gen.setdefault(out[0], {})
             group[out] = group.get(out, 0) + sign
+        e = (p or q or (None,))[-1]
+        odd = key[e] + bool(p) if e in special else None
         for k, group in by_gen.items():
-            if all(map(algebra.is_basic, group)):
+            if k != odd:
                 entries = ((out, signs[c]) for out, c in group.items() if c)
             else:
-                entries = algebra._normal_form(group).items()
+                raw = {}
+                for (_, ls, le, rs, re), c in group.items():
+                    t = g._dst[le[-1]] if le else ls
+                    raw[Monomial(Path(ls, le, t), Path(rs, re, t))] = c
+                nf = algebra._normal_form(raw).items()
+                entries = (((k, a[0], a[1], b[0], b[1]), c) for (a, b), c in nf)
             for out, c in entries:
-                rows.setdefault((k, out), {})[i] = c
+                rows.setdefault(out, {})[i] = c
 
-    kernel = _nullspace(list(rows.values()), len(candidates), field)
     elements = []
-    for vec in kernel:
-        elements.append(Element(algebra, {candidates[i]: c for i, c in vec.items()}))
+    for vec in _nullspace(list(rows.values()), len(candidates), field):
+        picked = ((candidates[i], c) for i, c in vec.items())
+        terms = {Monomial(Path(u, p, r), Path(u, q, r)): c for (u, p, q, r), c in picked}
+        elements.append(Element(algebra, terms))
     return elements
 
 

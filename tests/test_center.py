@@ -491,6 +491,14 @@ def test_oracle_matches_element_arithmetic_at_small_caps(chain_loop, fork_loops,
                     assert got == [str(e) for e in _reference_oracle(alg, d, cap)], (g, alg, d, cap)
 
 
+def _as_monomial(g, left_source, left_edges, right_source, right_edges):
+    """The Monomial that the oracle's flat tuples stand for, both paths
+    validated against the graph and ending at one vertex."""
+    m = Monomial(g.path(left_source, left_edges), g.path(right_source, right_edges))
+    assert m.left.target == m.right.target, str(m)
+    return m
+
+
 def _shuffled_multigraph(rng):
     """A random graph with parallel edges and loops, its edges declared in a
     shuffled order and numbered in that order, so not grouped by source."""
@@ -519,7 +527,11 @@ def test_candidates_come_out_in_monomial_key_order(chain_loop, fork_loops, corpu
         for alg in _oracle_settings(g, rng):
             for d in range(-3, 4):
                 for cap in (0, 2, 5):
-                    keys = [alg.monomial_key(m) for m in _candidates(alg, d, cap)]
+                    keys = []
+                    for u, p, q, r in _candidates(alg, d, cap):
+                        m = _as_monomial(g, u, p, u, q)
+                        assert m.left.target == r, (g, d, cap, str(m), r)
+                        keys.append(alg.monomial_key(m))
                     assert all(a < b for a, b in zip(keys, keys[1:])), (g, d, cap)
 
 
@@ -591,6 +603,7 @@ def test_edge_rules_give_every_nonzero_generator_product(chain_loop, fork_loops,
     # all 2|E| edge and edge-star generators, each once, with its row key
     rng = random.Random(11)
     for g in [chain_loop, fork_loops] + corpus:
+        maps = (g._src, g._dst, g._in, g._out)
         key = {e: 2 * k for k, e in enumerate(g.edge_ids())}
         gens = []
         for e in g.edge_ids():
@@ -608,7 +621,54 @@ def test_edge_rules_give_every_nonzero_generator_product(chain_loop, fork_loops,
                             product = alg._monomial_product(a, b)
                             if product is not None:
                                 expected[k, product, sign] += 1
-                    assert Counter(_edge_terms(g, m, key)) == expected, (g, str(m))
+                    p, q = m
+                    terms = _edge_terms(maps, (p.source, p.edges, q.edges, p.target), key)
+                    got = Counter((k, _as_monomial(g, *out), sign) for (k, *out), sign in terms)
+                    assert got == expected, (g, str(m))
+
+
+def test_oracle_rows_build_no_named_tuple(monkeypatch, corpus):
+    # candidates and row keys are plain tuples: a Monomial, and its two
+    # Paths, is built only for a term of a returned element or a term handed
+    # to the normal form, whose own rewriting is not counted
+    built, handed, kernel_terms = Counter(), [], 0
+    paused = []
+
+    def count_new(cls):
+        original = cls.__new__
+
+        def new(c, *args, **kwargs):
+            if not paused:
+                built[cls.__name__] += 1
+            return original(c, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", new)
+
+    def normal_form(self, raw):
+        handed.append(len(raw))
+        paused.append(True)
+        try:
+            return original_normal_form(self, raw)
+        finally:
+            paused.pop()
+
+    # the bounds search arrival paths, so they are found before counting
+    runs = [(LeavittAlgebra(g), d, oracle_bound(g, d)) for g in corpus for d in range(-3, 4)]
+    original_normal_form = LeavittAlgebra._normal_form
+    count_new(leavitt.center.Path)
+    count_new(leavitt.center.Monomial)
+    monkeypatch.setattr(LeavittAlgebra, "_normal_form", normal_form)
+    for alg, d, bound in runs:
+        kernel = brute_force_center(alg, d, bound)
+        kernel_terms += sum(len(el._terms) for el in kernel)
+    allowed = kernel_terms + sum(handed)
+    assert kernel_terms > 300 and len(handed) > 300, (kernel_terms, len(handed))
+    assert built["Monomial"] <= allowed and built["Path"] <= 2 * allowed, (built, allowed)
+    # the counters do count: one parsed element builds its monomial
+    before = built["Monomial"]
+    v = alg.graph.vertices[0]
+    alg.parse_element(f"[@{v}][@{v}]")
+    assert built["Monomial"] > before
 
 
 def test_oracle_output_is_central(g3, chain_loop):
