@@ -10,9 +10,9 @@ commutation constraints directly over the monomial basis and is used to
 validate the construction.  It works on plain tuples of names: a candidate
 [p][q] is (u, p's edges, q's edges, r), read sorted off path layers, and a
 row key is (generator, left source, left edges, right source, right edges),
-written by a one-edge rule.  A ``Monomial`` is built only for a term of a
-returned element or of the rare non-basic sum put in normal form.  Most
-rows force their column to zero; ``_nullspace`` sets those columns aside.
+written by a one-edge rule that emits basic terms only.  A ``Monomial`` is
+built only for a term of a returned element.  Most rows force their column
+to zero; ``_nullspace`` sets those columns aside.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Cycle, Graph, Path, cycle_exits
-from .hereditary import (
-    FiniteArrivals,
-    InfiniteArrivals,
-    NotFinitaryError,
-    _arrival_region,
-    arrival_paths,
-    center_structure,
-)
+from .hereditary import _arrival_region, _arrivals, center_structure
 from .algebra import Element, LeavittAlgebra, Monomial
 
 __all__ = [
@@ -47,14 +40,6 @@ __all__ = [
 
 class HasExitError(ValueError):
     """The cycle has an exit, so its rotation sums are not central."""
-
-
-def _finite_arrivals(graph: Graph, ws) -> FiniteArrivals:
-    """Arrival paths into ``ws``; NotFinitaryError when there are infinitely many."""
-    arr = arrival_paths(graph, ws)
-    if isinstance(arr, InfiniteArrivals):
-        raise NotFinitaryError(frozenset(ws), arr.witness, arr.connector)
-    return arr
 
 
 def idempotent(algebra: LeavittAlgebra, ws) -> Element:
@@ -118,7 +103,7 @@ def embed(algebra: LeavittAlgebra, ws, a: Element) -> Element:
     if a.algebra != algebra:
         raise ValueError("element belongs to a different algebra")
     g = algebra.graph
-    arr = _finite_arrivals(g, ws)
+    arrivals = _arrivals(g, ws)
     inside = frozenset(ws)
     terms = {}
     for m, c in a._terms.items():
@@ -126,7 +111,7 @@ def embed(algebra: LeavittAlgebra, ws, a: Element) -> Element:
             raise ValueError(f"monomial {m} is not based at a single vertex")
         if m.left.source not in inside:
             raise ValueError(f"monomial {m} is not supported inside the subset")
-        for p in arr.paths:
+        for p in arrivals:
             if p.target != m.left.source:
                 continue
             terms[Monomial(g.concat(p, m.left), g.concat(p, m.right))] = c
@@ -174,7 +159,7 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
         k = abs(d) // c.length
         rot = {v: (c.edges[i:] + c.edges[:i]) * k for i, v in enumerate(c.sources)}
         terms = {}
-        for p in _finite_arrivals(algebra.graph, c.vertex_set).paths:
+        for p in _arrivals(algebra.graph, c.vertex_set):
             lifted = Path(p.source, p.edges + rot[p.target], p.target)
             terms[Monomial(lifted, p) if d > 0 else Monomial(p, lifted)] = one
         elements.append(Element(algebra, terms))
@@ -209,7 +194,7 @@ def oracle_bound(graph: Graph, d: int) -> int:
     base = 0
     for s in center_structure(graph).summands:
         ws = s.support if s.cycle is None else s.cycle.vertex_set
-        base = max(base, _finite_arrivals(graph, ws).max_length())
+        base = max([base, *(p.length for p in _arrivals(graph, ws))])
     return 2 * base + abs(d) + 2
 
 
@@ -295,20 +280,24 @@ def _nullspace(rows: list[dict], ncols: int, field) -> list[dict]:
 
 
 def _edge_terms(maps: tuple, c: tuple, key: dict) -> list[tuple[tuple, int]]:
-    """The nonzero products of a candidate c = (u, p, q, r), the monomial
-    m = [p][q], and one edge generator, as (row key, sign): sign 1 for m gen,
-    -1 for gen m.  The row key is (k, left source, left edges, right source,
-    right edges), with k = ``key[e]`` for e and ``key[e] + 1`` for e*;
-    ``maps`` holds the graph's source, target, in- and out-edge maps.
+    """The products of a candidate c = (u, p, q, r), the monomial m = [p][q],
+    and one edge generator, as basic terms (row key, sign): sign 1 for
+    m gen, -1 for gen m.  The row key is (k, left source, left edges, right
+    source, right edges), with k = ``key[e]`` for e and ``key[e] + 1`` for
+    e*; ``maps`` holds the graph's source, target, in- and out-edge maps and
+    its special edges.
 
     A product of monomials is nonzero exactly when one inner path continues
     the other, so for an edge e:
       e m = [e p][q] and m e* = [p][e q] when e ends at u;
       m e = [p][q'] when q = e q', and [p e][@t(e)] when q is the vertex r;
       e* m = [p'][q] when p = e p', and [@t(e)][q e] when p is the vertex r;
-    and every other product is 0.
+    and every other product is 0.  Only e m = [e][q' e], when p is the vertex,
+    and m e* = [p' e][e], when q is, can be non-basic, for e special: the
+    vertex relation at s(e) writes [a e][b e] as [a][b] minus the sum of
+    [a f][b f] over the other out-edges f of s(e).
     """
-    src, dst, ins, outs = maps
+    src, dst, ins, outs, special = maps
     u, p, q, r = c
     terms = []
     for e in ins[u]:
@@ -325,6 +314,15 @@ def _edge_terms(maps: tuple, c: tuple, key: dict) -> list[tuple[tuple, int]]:
                 terms.append(((key[e], u, p + (e,), dst[e], ()), 1))
             if not p:
                 terms.append(((key[e] + 1, dst[e], (), u, q + (e,)), -1))
+        e = (p or q or (None,))[-1]
+        if e in special:
+            # replace [a e][b e], with a = p' and b = q', by its normal form
+            a, b, s = p[:-1], q[:-1], src[e]
+            k, ls, rs, sign = (key[e], s, u, -1) if q else (key[e] + 1, u, s, 1)
+            terms[terms.index(((k, ls, a + (e,), rs, b + (e,)), sign))] = ((k, ls, a, rs, b), sign)
+            for f in outs[s]:
+                if f != e:
+                    terms.append(((k, ls, a + (f,), rs, b + (f,)), -sign))
     return terms
 
 
@@ -371,46 +369,31 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     loses nothing.  Edge and edge-star commutators give the linear system,
     one row per (generator, output monomial).  Candidates and row keys are
     plain tuples of names, each entry comes from a one-edge rule of
-    ``_edge_terms``, and a ``Monomial`` is built only for a term of a
-    returned element or of a non-basic sum put in normal form.
+    ``_edge_terms``, which emits basic terms only, and a ``Monomial`` is
+    built only for a term of a returned element.
     """
-    g, field, special = algebra.graph, algebra.field, algebra.specialization.special_edges
-    maps = (g._src, g._dst, g._in, g._out)
+    g, field = algebra.graph, algebra.field
+    maps = (g._src, g._dst, g._in, g._out, algebra.specialization.special_edges)
     candidates = _candidates(algebra, d, max_support)
 
     # edge number k gives the generators e and e*, with row keys 2k and 2k+1
     key = {e: 2 * k for k, e in enumerate(g.edge_ids())}
     signs = {1: field.one, -1: field.reduce(-field.one)}
     rows: dict[tuple, dict] = {}
-    for i, (u, p, q, r) in enumerate(candidates):
-        terms = _edge_terms(maps, (u, p, q, r), key)
-        if p and q:
-            # every product keeps a last edge of m, so is basic, and the two
-            # products with one generator differ in length: no sum is needed
+    for i, c in enumerate(candidates):
+        terms = _edge_terms(maps, c, key)
+        # a two-sided m needs no sum: each product keeps a last edge of m, and
+        # the two products with one generator differ in length.  For a loop a
+        # at v, a [a][@v] and [a][@v] a are both [a a][@v] and cancel, so a
+        # vertex-sided m's terms are summed; no two terms of m gen, or of
+        # gen m, are one monomial, so each sum is -1, 0 or 1.
+        if not (c[1] and c[2]):
+            totals: dict[tuple, int] = {}
             for out, sign in terms:
-                rows.setdefault(out, {})[i] = signs[sign]
-            continue
-        # m gen - gen m, summed per generator before any normal form: for a
-        # loop a at v, a [a][@v] and [a][@v] a are both [a a][@v] and cancel.
-        # Only e m = [e][q' e] or m e* = [p' e][e], e special, can be non-basic.
-        by_gen: dict[int, dict] = {}
+                totals[out] = totals.get(out, 0) + sign
+            terms = [(out, sign) for out, sign in totals.items() if sign]
         for out, sign in terms:
-            group = by_gen.setdefault(out[0], {})
-            group[out] = group.get(out, 0) + sign
-        e = (p or q or (None,))[-1]
-        odd = key[e] + bool(p) if e in special else None
-        for k, group in by_gen.items():
-            if k != odd:
-                entries = ((out, signs[c]) for out, c in group.items() if c)
-            else:
-                raw = {}
-                for (_, ls, le, rs, re), c in group.items():
-                    t = g._dst[le[-1]] if le else ls
-                    raw[Monomial(Path(ls, le, t), Path(rs, re, t))] = c
-                nf = algebra._normal_form(raw).items()
-                entries = (((k, a[0], a[1], b[0], b[1]), c) for (a, b), c in nf)
-            for out, c in entries:
-                rows.setdefault(out, {})[i] = c
+            rows.setdefault(out, {})[i] = signs[sign]
 
     elements = []
     for vec in _nullspace(list(rows.values()), len(candidates), field):

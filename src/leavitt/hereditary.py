@@ -187,6 +187,17 @@ def _arrival_region(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], list[s
     return W, sorted(_members(g, outside), key=idx.comp_of.__getitem__, reverse=True)
 
 
+def _arrivals(g: Graph, ws: Iterable[str]) -> list[Path]:
+    """The arrival paths into the subset, unsorted; NotFinitaryError if infinite."""
+    W, below = _arrival_region(g, ws)
+    tails = dict.fromkeys(W, ((),))  # the edge sequences of the arrival paths from each vertex
+    paths = [g.vertex_path(w) for w in W]
+    for v in below:
+        tails[v] = [(e,) + rest for e in g.out_edges(v) for rest in tails.get(g.target_of(e), ())]
+        paths.extend(Path(v, seq, g.target_of(seq[-1])) for seq in tails[v])
+    return paths
+
+
 def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArrivals:
     """All paths that end in the subset with every earlier source outside it.
 
@@ -195,14 +206,9 @@ def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArriv
     cycle (disjoint from the subset) and a connector path into the subset.
     """
     try:
-        W, below = _arrival_region(g, ws)
+        paths = _arrivals(g, ws)
     except NotFinitaryError as exc:
         return InfiniteArrivals(exc.witness, exc.connector)
-    tails = dict.fromkeys(W, ((),))  # the edge sequences of the arrival paths from each vertex
-    paths = [g.vertex_path(w) for w in W]
-    for v in below:
-        tails[v] = [(e,) + rest for e in g.out_edges(v) for rest in tails.get(g.target_of(e), ())]
-        paths.extend(Path(v, seq, g.target_of(seq[-1])) for seq in tails[v])
     paths.sort(key=g.path_key)
     return FiniteArrivals(tuple(paths))
 
