@@ -15,6 +15,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, NamedTuple
 
 from .graph import _IDENT, Graph, Path, Specialization, canonical_specialization
@@ -196,8 +199,29 @@ class Element:
         return not self._terms
 
     def terms(self) -> list[tuple[Monomial, object]]:
-        key = self.algebra.monomial_key
-        return sorted(self._terms.items(), key=lambda mc: key(mc[0]))
+        """The (monomial, coefficient) pairs in ``LeavittAlgebra.monomial_key``
+        order: left length, right length, then the left and the right path,
+        each by its edges' declaration indexes (a length-0 path by its
+        vertex's).  Two monomials are compared up to their first differing edge."""
+        g = self.algebra.graph
+        eindex, vindex = g._eindex, g._vindex  # held by no algebra: no reference cycle
+
+        def cmp(a, b):  # reads the paths as (source, edges, target) tuples, by index
+            (l1, r1), (l2, r2) = a[0], b[0]
+            e1, e2 = l1[1], l2[1]
+            d = len(e1) - len(e2) or len(r1[1]) - len(r2[1])
+            if d:
+                return d
+            if e1 == e2:
+                if l1[0] != l2[0]:
+                    return vindex[l1[0]] - vindex[l2[0]]
+                # one left path: the right paths end at its range, so they differ in an edge
+                e1, e2 = r1[1], r2[1]
+            # most pairs differ at the first edge; else find the first mismatch in C
+            i = 0 if e1[0] != e2[0] else next(compress(count(), map(ne, e1, e2)))
+            return eindex[e1[i]] - eindex[e2[i]]
+
+        return sorted(self._terms.items(), key=cmp_to_key(cmp))
 
     def degrees(self) -> list[int]:
         return sorted({m.degree for m in self._terms})
@@ -291,21 +315,12 @@ class Element:
         )
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for m, c in self.terms():
             cs = str(c)
-            if cs == "1":
-                parts.append(str(m))
-            elif cs == "-1":
-                parts.append("-" + str(m))
-            else:
-                parts.append(f"{cs}*{m}")
-        text = parts[0]
-        for part in parts[1:]:
-            text += part if part.startswith("-") else "+" + part
-        return text
+            sign, cs = ("-", cs[1:]) if cs.startswith("-") else ("+", cs)
+            parts.append(f"{sign}{m}" if cs == "1" else f"{sign}{cs}*{m}")
+        return "".join(parts).removeprefix("+") or "0"
 
     def __repr__(self) -> str:
         return f"Element({self})"

@@ -208,7 +208,10 @@ class Graph:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def sorted_vertices(self, ws: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(ws, key=self.vertex_index))
+        try:
+            return tuple(sorted(ws, key=self._vindex.__getitem__))
+        except KeyError as exc:
+            raise UnknownVertexError(f"unknown vertex {exc.args[0]!r}") from None
 
     # -- paths and cycles ------------------------------------------------
 

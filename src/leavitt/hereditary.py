@@ -443,11 +443,15 @@ def _ne_cycle_covering(g: Graph, W: frozenset[str]) -> Cycle | None:
     """
     if any(len(g.out_edges(v)) != 1 for v in W):
         return None
-    start = min(W, key=g.vertex_index)
-    c = g.cycle(_shortest_path(g, start, (start,)).edges)
-    if c.vertex_set != W:
+    v = min(W, key=g.vertex_index)  # the canonical rotation starts here
+    sources, edges = [], []
+    for _ in W:  # the walk closes after |W| steps when its cycle covers W
+        sources.append(v)
+        edges.append(g.out_edges(v)[0])
+        v = g.target_of(edges[-1])
+    if v != sources[0] or set(sources) != W:
         raise AssertionError("terminal component is not covered by its cycle")
-    return c
+    return Cycle(Path(v, tuple(edges), v), tuple(sources))
 
 
 def center_structure(g: Graph) -> CenterReport:

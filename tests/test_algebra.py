@@ -1,6 +1,8 @@
+import gc
 import random
 import re
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,11 +11,16 @@ from leavitt import (
     AlgebraMismatchError,
     Element,
     ElementSyntaxError,
+    Graph,
     LeavittAlgebra,
     Monomial,
     Path,
     PrimeField,
     Rationals,
+    center_basis,
+    finitary_boolean_subalgebra,
+    idempotent,
+    parse_graph,
 )
 
 from oracles import closed_paths_upto, is_power_of_ne_cycle, random_element, random_graph
@@ -529,6 +536,99 @@ def test_str_zero_and_signs(g3):
     assert str(-alg.vertex("v5")) == "-v5"
     assert str(3 * alg.vertex("v5")) == "3*v5"
     assert str(Fraction(1, 2) * alg.vertex("v5")) == "1/2*v5"
+    assert str(-3 * alg.vertex("v5")) == "-3*v5"
+    # a is special at v1, so [a][a] = v1 - [d][d]
+    el = alg.parse_element("-v1 + 2*v2 - 1/2*[a][a] - [d][@v5] + [d][d]")
+    assert str(el) == "-3/2*v1+2*v2-[d][@v5]+3/2*[d][d]"
+
+
+def _assert_terms_in_monomial_key_order(el):
+    alg = el.algebra
+    assert [m for m, _ in el.terms()] == sorted(el._terms, key=alg.monomial_key), str(el)
+
+
+def _printed_elements(rng, alg, rounds):
+    """The idempotents, the center bases at d in -6..6, and random sums,
+    products and stars."""
+    elements = [idempotent(alg, w) for w in finitary_boolean_subalgebra(alg.graph)]
+    for d in range(-6, 7):
+        elements += center_basis(alg, d).elements
+    for _ in range(rounds):
+        x, y = random_element(rng, alg, 6, 4), random_element(rng, alg, 6, 4)
+        elements += [x + y, x * y, (x - y).star(), x * y.star()]
+    return elements
+
+
+@pytest.mark.parametrize(
+    "field", [Rationals(), PrimeField(2), PrimeField(97)], ids=["rat", "fp:2", "fp:97"]
+)
+def test_terms_follow_monomial_key_on_the_fixtures(graphs, field):
+    rng = random.Random(4242)
+    for g in graphs.values():
+        for el in _printed_elements(rng, LeavittAlgebra(g, field=field), 30):
+            _assert_terms_in_monomial_key_order(el)
+
+
+def test_terms_follow_monomial_key_on_the_corpus(corpus):
+    rng = random.Random(4343)
+    for g in corpus:
+        for el in _printed_elements(rng, LeavittAlgebra(g), 3):
+            _assert_terms_in_monomial_key_order(el)
+
+
+def test_terms_order_edges_and_vertices_by_declaration():
+    # e10 is declared before e2, and z before a: declaration order, not name order
+    g = parse_graph("vertex z\nvertex a\nvertex b\nedge e10 z a\nedge e2 z a\nedge x b a\n")
+    alg = LeavittAlgebra(g)
+    assert str(alg.parse_element("a + b + z")) == "z+a+b"
+    assert str(alg.parse_element("[e2][@a] + [e10][@a]")) == "[e10][@a]+[e2][@a]"
+    # parallel edges, and equal left paths that differ only on the right
+    el = alg.parse_element("[e2][x] + [e2][e10] + [e10][x] + [e10][e2] + [x][e2]")
+    assert str(el) == "[e10][e2]+[e10][x]+[e2][e10]+[e2][x]+[x][e2]"
+    # a loop: paths of one length that first differ after a shared prefix
+    loop = parse_graph("vertex v\nvertex w\nedge l v v\nedge f v w\nedge k v w\n")
+    alg = LeavittAlgebra(loop)
+    el = alg.parse_element("[l l k][@w] + [l l f][@w] + [l f][@w] + [l l l][@v] + [f][f]")
+    assert str(el) == "[f][f]+[l f][@w]+[l l l][@v]+[l l f][@w]+[l l k][@w]"
+    for el in (el, alg.parse_element("[l k][l f] + [l k][l k] + [k][k]")):
+        _assert_terms_in_monomial_key_order(el)
+    # the first difference decides, whatever the later edges are
+    g = parse_graph("vertex v\nvertex w\nedge l v v\nedge f v w\nedge k v w\nedge m1 w w\nedge m2 w w\n")
+    el = LeavittAlgebra(g).parse_element("[l k m1][@w] + [l f m2][@w]")
+    assert str(el) == "[l f m2][@w]+[l k m1][@w]"
+
+
+def test_printing_cycle_powers_builds_no_sort_keys(monkeypatch, g3):
+    # the terms are compared up to their first differing edge, so printing a
+    # long cycle power maps no whole path to its edge indexes
+    alg = LeavittAlgebra(g3)
+    elements = center_basis(alg, 6000).elements + center_basis(alg, -6000).elements
+    expected = [sorted(el._terms, key=alg.monomial_key) for el in elements]
+    texts = [str(el) for el in elements]
+
+    def refuse(*args):
+        raise AssertionError("a full sort key was built")
+
+    monkeypatch.setattr(Graph, "path_key", refuse)
+    monkeypatch.setattr(LeavittAlgebra, "monomial_key", refuse)
+    for el, order, text in zip(elements, expected, texts):
+        assert len(order) == 4
+        assert [m for m, _ in el.terms()] == order
+        assert str(el) == text
+
+
+def test_printing_does_not_keep_the_graph_alive():
+    g = parse_graph("vertex u\nvertex w\nedge a u w\nedge b u w\nedge c w w\n")
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        alg = LeavittAlgebra(g)
+        el = center_basis(alg, 5).elements[0]
+        assert str(el) == "[c c c c c][@w]+[a c c c c c][a]+[b c c c c c][b]"
+        del g, alg, el
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_algebra_mismatch(g1, g2):

@@ -112,6 +112,13 @@ def test_graph_constructor_validates():
         assert info.value.line is None
 
 
+def test_sorted_vertices_follow_declaration_order(g3):
+    assert g3.sorted_vertices({"v5", "v1", "v3"}) == ("v1", "v3", "v5")
+    assert g3.sorted_vertices([]) == ()
+    with pytest.raises(UnknownVertexError, match="unknown vertex 'v9'"):
+        g3.sorted_vertices(["v1", "v9"])
+
+
 def test_path_factories(g3):
     p = g3.path("v1", ["a", "b2"])
     assert p.source == "v1" and p.target == "v3" and p.length == 2

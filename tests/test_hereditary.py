@@ -323,6 +323,18 @@ def test_center_structure_laurent_recognition(g1, g3, g6):
     assert not rep.summands[0].is_laurent
 
 
+def test_laurent_cycles_are_the_canonical_rotation(corpus):
+    # the walk starts at the first-declared vertex, here in the middle of the cycle
+    g = parse_graph("vertex b\nvertex a\nvertex c\nedge x a b\nedge y b c\nedge z c a\n")
+    (s,) = center_structure(g).summands
+    assert str(s.cycle) == "(y z x)" and s.cycle.sources == ("b", "c", "a")
+    for g in [g] + corpus:
+        for s in center_structure(g).summands:
+            if s.cycle is not None:
+                assert g.cycle(s.cycle.edges) == s.cycle
+                assert s.cycle.vertex_set in minimal_hereditary_sets(g)
+
+
 def test_structure_cache_does_not_keep_the_graph_alive():
     g = parse_graph("vertex v\nvertex w\nedge e v w\nedge l w w\n")
     ref = weakref.ref(g)
