@@ -13,14 +13,14 @@ everything is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import compress, count
 from operator import ne
-from typing import Iterable, NamedTuple
 
-from .graph import _IDENT, Graph, Path, Specialization, canonical_specialization
+from .graph import _IDENT, Graph, Path, Specialization, _Value, canonical_specialization
 
 __all__ = [
     "Rationals",
@@ -74,10 +74,10 @@ def _exact(q: Fraction):
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Rationals(_Value):
     """Exact rational scalars: ints, and ``Fraction``s where elimination divides."""
 
+    __slots__ = __match_args__ = ()
     name = "rat"
     zero = 0
     one = 1
@@ -99,17 +99,19 @@ class Rationals:
         return _exact(Fraction(token))
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_Value):
     """Scalars modulo a prime p <= 2^31, held as the residues 0 <= x < p."""
 
-    p: int
+    __slots__ = __match_args__ = ("p",)
     zero = 0
     one = 1
 
-    def __post_init__(self):
-        if not (2 <= self.p <= 2**31 and _is_prime(self.p)):
-            raise ValueError(f"{self.p} is not a prime <= 2^31")
+    def __init__(self, p: int):
+        if not isinstance(p, int):
+            raise TypeError(f"the modulus must be an int, not {p!r}")
+        if not (2 <= p <= 2**31 and _is_prime(p)):
+            raise ValueError(f"{p} is not a prime <= 2^31")
+        object.__setattr__(self, "p", p)
 
     @property
     def name(self) -> str:
@@ -142,13 +144,12 @@ class PrimeField:
 # -- monomials and elements -------------------------------------------------
 
 
-class Monomial(NamedTuple):
+class Monomial(namedtuple("Monomial", ("left", "right"))):
     """Product ``left * right^*`` of two paths ending at the same vertex.
 
     A named tuple of its two paths, like ``Path``."""
 
-    left: Path
-    right: Path
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -173,11 +174,10 @@ class Monomial(NamedTuple):
 # element text: a bracket side is ``@v`` or edge ids; a term is a separator
 # sign (optional on the first term), an optional signed coefficient with an
 # optional ``*``, then two bracket sides or a bare vertex id.  No two ``\s*``
-# are adjacent, so a failed match backtracks in linear time.
-_SIDE = re.compile(
-    rf"\s*(?:(?:@(?P<vertex>{_IDENT.pattern})|(?P<edges>{_IDENT.pattern}(?:\s+{_IDENT.pattern})*))\s*)?"
-)
-_TERM = re.compile(
+# are adjacent, so a failed match backtracks in linear time.  ``re`` compiles
+# them on first use and caches them: the CLI never parses elements.
+_SIDE = rf"\s*(?:(?:@(?P<vertex>{_IDENT.pattern})|(?P<edges>{_IDENT.pattern}(?:\s+{_IDENT.pattern})*))\s*)?"
+_TERM = (
     rf"\s*(?:(?P<sign>[+-])\s*)?(?:(?P<coeff>[+-]?\d+(?:/\d+)?)\s*(?:\*\s*)?)?"
     rf"(?:\[(?P<left>[^\]]*)\]\s*\[(?P<right>[^\]]*)\]|(?P<vertex>{_IDENT.pattern}))\s*"
 )
@@ -515,7 +515,7 @@ class LeavittAlgebra:
             raise ElementSyntaxError("empty element text")
 
         def side(body: str) -> Path:
-            m = _SIDE.fullmatch(body)
+            m = re.fullmatch(_SIDE, body)
             if m is None:
                 raise ElementSyntaxError(f"cannot read the path [{body}]")
             if m["vertex"]:
@@ -533,7 +533,7 @@ class LeavittAlgebra:
         raw: dict[Monomial, object] = {}
         pos = 0
         while pos < len(text):
-            t = _TERM.match(text, pos)
+            t = re.compile(_TERM).match(text, pos)
             if t is None or (pos and not t["sign"]):
                 raise ElementSyntaxError(f"cannot read a term at offset {pos}")
             coeff = self.field.one

@@ -17,9 +17,7 @@ to zero; ``_nullspace`` sets those columns aside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Cycle, Graph, Path, cycle_exits
+from .graph import Cycle, Graph, Path, _Value, cycle_exits
 from .hereditary import _arrival_region, _arrivals, center_structure
 from .algebra import Element, LeavittAlgebra, Monomial
 
@@ -118,13 +116,15 @@ def embed(algebra: LeavittAlgebra, ws, a: Element) -> Element:
     return Element(algebra, algebra._normal_form(terms))
 
 
-@dataclass(frozen=True)
-class CentralBasis:
+class CentralBasis(_Value):
     """A basis of one graded piece of the center, with provenance strings."""
 
-    degree: int
-    elements: tuple
-    provenance: tuple
+    __slots__ = __match_args__ = ("degree", "elements", "provenance")
+
+    def __init__(self, degree: int, elements: tuple, provenance: tuple):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "provenance", provenance)
 
     def __len__(self) -> int:
         return len(self.elements)

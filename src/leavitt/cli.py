@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .graph import Graph, GraphParseError, parse_graph
@@ -32,9 +31,10 @@ __all__ = ["main", "build_parser"]
 def _field_arg(text: str):
     if text == "rat":
         return Rationals()
-    if text.startswith("fp:"):
+    modulus = text.removeprefix("fp:")
+    if modulus != text and modulus.isdecimal():
         try:
-            return PrimeField(int(text[3:]))
+            return PrimeField(int(modulus))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(f"unknown field {text!r}: use rat or fp:<prime>")
@@ -114,6 +114,7 @@ def _graph_line(g: Graph) -> str:
 
 def _emit(args, report: dict, lines: list[str]) -> None:
     if args.json:
+        import json  # only ``--json`` needs it
         print(json.dumps(report, indent=2))
     else:
         print("\n".join(lines))

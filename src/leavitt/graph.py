@@ -8,8 +8,8 @@ cycle rotations, the default specialization).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 __all__ = [
     "Graph",
@@ -64,16 +64,14 @@ class NotACycleError(GraphError):
     pass
 
 
-class Path(NamedTuple):
+class Path(namedtuple("Path", ("source", "edges", "target"))):
     """A vertex (length 0) or a composable edge sequence in a fixed graph.
 
     A named tuple, so hashing and equality run in C; ``len(p)`` is 3, the
     number of fields, and the path length is ``p.length``.
     """
 
-    source: str
-    edges: tuple[str, ...]
-    target: str
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -83,13 +81,42 @@ class Path(NamedTuple):
         return " ".join(self.edges) if self.edges else "@" + self.source
 
 
-@dataclass(frozen=True)
-class Cycle:
+class _Value:
+    """Base of the immutable value types.  A subclass names its fields in
+    ``__slots__`` and ``__match_args__`` and stores them with
+    ``object.__setattr__``.  As in a frozen dataclass, an instance equals only
+    an instance of its own type with equal fields and hashes as their tuple."""
+
+    __slots__ = ()
+
+    def __reduce__(self):  # the type and the fields, which pickle and copy rebuild from
+        return self.__class__, tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Cycle(_Value):
     """A closed path whose edge sources are pairwise distinct, stored in the
     rotation that starts at the smallest vertex."""
 
-    path: Path
-    sources: tuple[str, ...]
+    __slots__ = __match_args__ = ("path", "sources")
+
+    def __init__(self, path: Path, sources: tuple[str, ...]):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "sources", sources)
 
     @property
     def edges(self) -> tuple[str, ...]:

@@ -16,16 +16,9 @@ SCC reach exactly the same minimal sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .graph import (
-    Cycle,
-    Graph,
-    GraphError,
-    Path,
-    UnknownVertexError,
-)
+from .graph import Cycle, Graph, GraphError, Path, UnknownVertexError, _Value
 
 __all__ = [
     "NotHereditaryError",
@@ -66,22 +59,26 @@ class NotFinitaryError(GraphError):
         )
 
 
-@dataclass(frozen=True)
-class FiniteArrivals:
+class FiniteArrivals(_Value):
     """Complete list of arrival paths, sorted by (length, edge ids)."""
 
-    paths: tuple[Path, ...]
+    __slots__ = __match_args__ = ("paths",)
+
+    def __init__(self, paths: tuple[Path, ...]):
+        object.__setattr__(self, "paths", paths)
 
     def max_length(self) -> int:
         return max((p.length for p in self.paths), default=0)
 
 
-@dataclass(frozen=True)
-class InfiniteArrivals:
+class InfiniteArrivals(_Value):
     """Marker that the arrival-path set is infinite, with a pumping witness."""
 
-    witness: Cycle
-    connector: Path
+    __slots__ = __match_args__ = ("witness", "connector")
+
+    def __init__(self, witness: Cycle, connector: Path):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "connector", connector)
 
 
 def _as_vertex_set(g: Graph, ws: Iterable[str]) -> frozenset[str]:
@@ -399,13 +396,15 @@ def finitary_boolean_subalgebra(g: Graph) -> list[frozenset[str]]:
     return _joins(g, _structure(g).classes)
 
 
-@dataclass(frozen=True)
-class ClassSummand:
+class ClassSummand(_Value):
     """One equivalence class of minimal sets with its support and kind."""
 
-    members: tuple[int, ...]
-    support: frozenset[str]
-    cycle: Cycle | None  # the covering exit-free cycle when the summand is Laurent
+    __slots__ = __match_args__ = ("members", "support", "cycle")
+
+    def __init__(self, members: tuple[int, ...], support: frozenset[str], cycle: Cycle | None):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "cycle", cycle)  # the covering exit-free cycle when the summand is Laurent
 
     @property
     def is_laurent(self) -> bool:
@@ -416,13 +415,15 @@ class ClassSummand:
         return self.cycle.length if self.cycle is not None else None
 
 
-@dataclass(frozen=True)
-class CenterReport:
+class CenterReport(_Value):
     """Structure of the center: one summand per equivalence class."""
 
-    graph: Graph
-    minimal_sets: tuple[frozenset[str], ...]
-    summands: tuple[ClassSummand, ...]
+    __slots__ = __match_args__ = ("graph", "minimal_sets", "summands")
+
+    def __init__(self, graph: Graph, minimal_sets: tuple[frozenset[str], ...], summands: tuple[ClassSummand, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "minimal_sets", minimal_sets)
+        object.__setattr__(self, "summands", summands)
 
     @property
     def laurent_count(self) -> int:

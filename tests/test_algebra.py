@@ -676,8 +676,12 @@ def test_fp_scalar_arithmetic():
 def test_prime_field_validation():
     PrimeField(2)
     PrimeField(2**31 - 1)  # Mersenne prime
-    for bad in (0, 1, 4, 9, 561, 2**31 + 11):
+    for bad in (0, 1, 4, 9, 561, 2**31 + 11, -7):
         with pytest.raises(ValueError):
+            PrimeField(bad)
+    # a non-int modulus is refused before the primality test, even one equal to a prime
+    for bad in (7.0, 37.0, 4.0, 2.5, "7", Fraction(7), None):
+        with pytest.raises(TypeError):
             PrimeField(bad)
 
 

@@ -516,6 +516,11 @@ def test_bad_field_argument(capsys):
     assert "prime" in err or "fp:4" in err
     code, _, err = run(capsys, "center", fx("g1"), "--degree", "0", "--field", "real")
     assert code == 2
+    for bad in ("fp:", "fp:x"):
+        code, _, err = run(capsys, "center", fx("g1"), "--degree", "0", "--field", bad)
+        assert code == 2
+        assert f"unknown field {bad!r}: use rat or fp:<prime>" in err
+        assert "invalid literal" not in err
 
 
 def test_unknown_command(capsys):
@@ -535,6 +540,23 @@ def run_alone(*argv):
         timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_import_leaves_dataclasses_typing_and_json_unloaded():
+    # -S: no site hook runs, since a .pth file may import typing itself
+    src = str(pathlib.Path(leavitt.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import leavitt.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} & set(sys.modules))); "
+        "sys.exit(leavitt.cli.main(['analyze', sys.argv[2], '--json']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src, fx("g6")], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, _, report = proc.stdout.partition("\n")
+    assert loaded == "[]"
+    assert json.loads(report)["payload"]["isomorphism"] == "F"
 
 
 def test_repeated_calls_print_what_single_runs_print(monkeypatch, capsys):
