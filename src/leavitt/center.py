@@ -56,7 +56,6 @@ def idempotent(algebra: LeavittAlgebra, ws) -> Element:
     """
     g, field = algebra.graph, algebra.field
     W, below = _arrival_region(g, ws)
-    signs = {1: field.one, -1: field.reduce(-field.one)}
     coeff = dict.fromkeys(W, 1)  # c_v for every v that reaches W
     tails = dict.fromkeys(W, ())  # the terms c [a][a] of N_v with |a| >= 1, as (a, c)
     for v in below:
@@ -66,7 +65,7 @@ def idempotent(algebra: LeavittAlgebra, ws) -> Element:
             t = g.target_of(f)
             acc.extend((Path(v, (f,) + a.edges, a.target), c) for a, c in tails.get(t, ()))
             if diff := coeff.get(t, 0) - cv:
-                acc.append((Path(v, (f,), t), signs[diff]))
+                acc.append((Path(v, (f,), t), field.reduce(diff)))
     terms = {Monomial(p, p): field.one for p in (Path(v, (), v) for v, cv in coeff.items() if cv)}
     terms.update((Monomial(a, a), c) for acc in tails.values() for a, c in acc)
     return Element(algebra, terms)
@@ -211,9 +210,7 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
         # stored pivot rows never contain each other's pivot columns, so one
         # pass over the pivot columns present in the incoming row clears all
         for c in [c for c in row if c in pivots]:
-            lead = row.get(c)
-            if not lead:
-                continue
+            lead = row[c]
             for c2, v2 in reduced[pivots[c]].items():
                 total = red(row.get(c2, 0) - lead * v2)
                 if total:
@@ -242,14 +239,17 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
 def _nullspace(rows: list[dict], ncols: int, field) -> list[dict]:
     """Basis of the solution space of rows * x = 0, columns 0..ncols-1.
 
-    Rows hold nonzero entries only.  A row with one entry forces its column
-    to 0, and so does a row left with one entry once the forced columns are
-    dropped; this repeats, with no scalar arithmetic, until no new column is
-    forced.  Only the rest of the system is eliminated, and no forced column
-    is free.  The basis is the one that eliminating the whole system gives:
-    a forced column's row in the unique reduced row echelon form is its unit
-    vector, so the other rows of that form are the form of the rest, and
-    every basis vector is unchanged.
+    Rows hold entries that are nonzero in the field, as field scalars or as
+    ints such as the oracle's 1 and -1, which elimination reduces where it
+    uses them.  A row with one entry forces its column to 0, and so does a
+    row left with one entry once the forced columns are dropped; this
+    repeats, with no scalar arithmetic, until no new column is forced.  Only
+    the rest of the system is eliminated, and no forced column is free.  The
+    basis is the one that eliminating the whole system gives: a forced
+    column's row in the unique reduced row echelon form is its unit vector,
+    so the other rows of that form are the form of the rest, and every basis
+    vector is unchanged.  Every column of a reduced row other
+    than its pivot is free, so the basis is read off the rows' own entries.
     """
     forced: set = set()
     while True:
@@ -267,16 +267,12 @@ def _nullspace(rows: list[dict], ncols: int, field) -> list[dict]:
     reduced, pivots = _row_reduce(
         [{c: v for c, v in row.items() if c not in forced} for row in rest], field
     )
-    free = [c for c in range(ncols) if c not in pivots and c not in forced]
-    basis = []
-    for f in free:
-        vec = {f: field.one}
-        for col, idx in pivots.items():
-            coeff = reduced[idx].get(f)
-            if coeff:
-                vec[col] = field.reduce(-coeff)
-        basis.append(vec)
-    return basis
+    basis = {c: {c: field.one} for c in range(ncols) if c not in pivots and c not in forced}
+    for col, idx in pivots.items():
+        for f, coeff in reduced[idx].items():
+            if f != col:
+                basis[f][col] = field.reduce(-coeff)
+    return list(basis.values())
 
 
 def _edge_terms(maps: tuple, c: tuple, key: dict) -> list[tuple[tuple, int]]:
@@ -368,9 +364,11 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     vertex generators alone forces that diagonal shape, so the restriction
     loses nothing.  Edge and edge-star commutators give the linear system,
     one row per (generator, output monomial).  Candidates and row keys are
-    plain tuples of names, each entry comes from a one-edge rule of
+    plain tuples of names, each term comes from a one-edge rule of
     ``_edge_terms``, which emits basic terms only, and a ``Monomial`` is
-    built only for a term of a returned element.
+    built only for a term of a returned element.  Each term's sign is summed
+    into its row where it lands, so the rows hold the ints 1 and -1, which
+    ``_row_reduce`` reduces into the field as it eliminates.
     """
     g, field = algebra.graph, algebra.field
     maps = (g._src, g._dst, g._in, g._out, algebra.specialization.special_edges)
@@ -378,22 +376,15 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
 
     # edge number k gives the generators e and e*, with row keys 2k and 2k+1
     key = {e: 2 * k for k, e in enumerate(g.edge_ids())}
-    signs = {1: field.one, -1: field.reduce(-field.one)}
     rows: dict[tuple, dict] = {}
     for i, c in enumerate(candidates):
-        terms = _edge_terms(maps, c, key)
-        # a two-sided m needs no sum: each product keeps a last edge of m, and
-        # the two products with one generator differ in length.  For a loop a
-        # at v, a [a][@v] and [a][@v] a are both [a a][@v] and cancel, so a
-        # vertex-sided m's terms are summed; no two terms of m gen, or of
-        # gen m, are one monomial, so each sum is -1, 0 or 1.
-        if not (c[1] and c[2]):
-            totals: dict[tuple, int] = {}
-            for out, sign in terms:
-                totals[out] = totals.get(out, 0) + sign
-            terms = [(out, sign) for out, sign in totals.items() if sign]
-        for out, sign in terms:
-            rows.setdefault(out, {})[i] = signs[sign]
+        # terms can cancel: for a loop a at v, a [a][@v] and [a][@v] a are
+        # both [a a][@v].  No two terms of m gen, or of gen m, are one
+        # monomial, so each sum is -1, 0 or 1, and 0 is decided over the ints
+        for out, sign in _edge_terms(maps, c, key):
+            row = rows.setdefault(out, {})
+            if total := row.pop(i, 0) + sign:
+                row[i] = total
 
     elements = []
     for vec in _nullspace(list(rows.values()), len(candidates), field):

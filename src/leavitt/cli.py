@@ -32,7 +32,7 @@ def _field_arg(text: str):
     if text == "rat":
         return Rationals()
     modulus = text.removeprefix("fp:")
-    if modulus != text and modulus.isdecimal():
+    if modulus != text and modulus.isascii() and modulus.isdecimal():
         try:
             return PrimeField(int(modulus))
         except ValueError as exc:
@@ -105,28 +105,18 @@ def _counted(n: int, singular: str, plural: str) -> str:
     return f"{n} {singular if n == 1 else plural}"
 
 
-def _graph_line(g: Graph) -> str:
-    return (
-        f"graph: {_counted(len(g.vertices), 'vertex', 'vertices')}, "
-        f"{_counted(len(g.edge_ids()), 'edge', 'edges')}"
-    )
-
-
-def _emit(args, report: dict, lines: list[str]) -> None:
+def _emit(args, g: Graph, payload: dict, lines: list[str]) -> None:
+    """Print the graph's size and then ``lines``, or with ``--json`` the
+    report of ``args.command`` around ``payload``."""
+    n, m = len(g.vertices), len(g.edge_ids())
     if args.json:
         import json  # only ``--json`` needs it
+        graph = {"vertices": n, "edges": m}
+        report = {"format_version": "1", "command": args.command, "graph": graph, "payload": payload}
         print(json.dumps(report, indent=2))
     else:
-        print("\n".join(lines))
-
-
-def _report(command: str, g: Graph, payload: dict) -> dict:
-    return {
-        "format_version": "1",
-        "command": command,
-        "graph": {"vertices": len(g.vertices), "edges": len(g.edge_ids())},
-        "payload": payload,
-    }
+        head = f"graph: {_counted(n, 'vertex', 'vertices')}, {_counted(m, 'edge', 'edges')}"
+        print("\n".join([head, *lines]))
 
 
 def _cmd_analyze(args, g: Graph) -> int:
@@ -154,8 +144,7 @@ def _cmd_analyze(args, g: Graph) -> int:
         "isomorphism": rep.isomorphism,
     }
 
-    lines = [_graph_line(g)]
-    lines.append("minimal hereditary sets:")
+    lines = ["minimal hereditary sets:"]
     for i, w in enumerate(minimal, 1):
         lines.append(f"  W{i} = {{{','.join(w)}}}")
     lines.append("classes:")
@@ -169,7 +158,7 @@ def _cmd_analyze(args, g: Graph) -> int:
     lines.append(f"annihilator algebra: {2**k} subsets (2^{k})")
     lines.append(f"finitary subalgebra: {2**m} subsets (2^{m})")
     lines.append(f"center: {rep.isomorphism}")
-    _emit(args, _report("analyze", g, payload), lines)
+    _emit(args, g, payload, lines)
     return 0
 
 
@@ -187,14 +176,13 @@ def _cmd_center(args, g: Graph) -> int:
             for text, why in zip(texts, basis.provenance)
         ],
     }
-    lines = [_graph_line(g)]
-    lines.append(f"degree {args.degree} basis (predicted dimension {predicted}):")
+    lines = [f"degree {args.degree} basis (predicted dimension {predicted}):"]
     if texts:
         for text, why in zip(texts, basis.provenance):
             lines.append(f"  {text}  ({why})")
     else:
         lines.append("  (none)")
-    _emit(args, _report("center", g, payload), lines)
+    _emit(args, g, payload, lines)
     return 0
 
 
@@ -209,7 +197,7 @@ def _cmd_verify(args, g: Graph) -> int:
     # oracle_bound(g, d) is oracle_bound(g, 0) + |d|: search the arrivals once
     base = oracle_bound(g, 0) if args.max_len is None else None
     rows = []
-    lines = [_graph_line(g)]
+    lines = []
     all_ok = True
     for d in range(-args.max_degree, args.max_degree + 1):
         bound = args.max_len if base is None else base + abs(d)
@@ -240,7 +228,7 @@ def _cmd_verify(args, g: Graph) -> int:
         "degrees": rows,
         "ok": all_ok,
     }
-    _emit(args, _report("verify", g, payload), lines)
+    _emit(args, g, payload, lines)
     return 0 if all_ok else 1
 
 
@@ -319,11 +307,10 @@ def _cmd_idempotents(args, g: Graph) -> int:
             for w in family
         ],
     }
-    lines = [_graph_line(g)]
-    lines.append(f"finitary annihilator subsets: {len(family)}")
+    lines = [f"finitary annihilator subsets: {len(family)}"]
     for w in family:
         lines.append(f"  {_set_str(g, w)} -> {texts[w]}")
-    _emit(args, _report("idempotents", g, payload), lines)
+    _emit(args, g, payload, lines)
     return 0
 
 

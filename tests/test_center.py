@@ -547,13 +547,16 @@ def test_candidates_come_out_in_monomial_key_order(chain_loop, fork_loops, corpu
                     assert all(a < b for a, b in zip(keys, keys[1:])), (g, d, cap)
 
 
-def _random_system(rng, field):
+def _random_system(rng, field, signs=False):
     """A sparse system with a chain of forcing rows, random rows, empty and
-    duplicate rows, and columns that no row mentions.
+    duplicate rows, and columns that no row mentions; with ``signs``, every
+    entry is the int 1 or -1, unreduced, as the oracle's rows hold them.
 
     The chain {c0}, {c0, c1}, ..., {c(k-1), ck} is on columns of its own, so
     setting forced columns aside takes k + 1 >= 3 rounds to reach ck."""
-    if isinstance(field, Rationals):
+    if signs:
+        entry = lambda: rng.choice([1, -1])
+    elif isinstance(field, Rationals):
         entry = lambda: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
     else:
         entry = lambda: field.coerce(rng.randrange(1, field.p))
@@ -584,6 +587,15 @@ def test_nullspace_presolve_matches_plain_elimination(field):
     for _ in range(400):
         rows, ncols = _random_system(rng, field)
         assert _nullspace(rows, ncols, field) == _plain_nullspace(rows, ncols, field), (rows, ncols)
+    # the oracle passes its rows as the ints 1 and -1: the basis must be the
+    # one of the system coerced into the field, down to each coefficient's
+    # type and residue and each vector's key order
+    for _ in range(400):
+        rows, ncols = _random_system(rng, field, signs=True)
+        coerced = [{c: field.coerce(v) for c, v in row.items()} for row in rows]
+        got = _nullspace(rows, ncols, field)
+        assert got == _plain_nullspace(coerced, ncols, field), (rows, ncols)
+        assert repr(got) == repr(_nullspace(coerced, ncols, field)), (rows, ncols)
 
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(97)], ids=lambda f: f.name)

@@ -516,7 +516,8 @@ def test_bad_field_argument(capsys):
     assert "prime" in err or "fp:4" in err
     code, _, err = run(capsys, "center", fx("g1"), "--degree", "0", "--field", "real")
     assert code == 2
-    for bad in ("fp:", "fp:x"):
+    # only ASCII digits name a prime, not an Arabic-Indic 3 or a fullwidth 97
+    for bad in ("fp:", "fp:x", "fp:\u0663", "fp:\uff19\uff17"):
         code, _, err = run(capsys, "center", fx("g1"), "--degree", "0", "--field", bad)
         assert code == 2
         assert f"unknown field {bad!r}: use rat or fp:<prime>" in err
