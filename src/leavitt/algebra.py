@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import ne
 
 from .graph import _IDENT, Graph, Path, Specialization, _Value, canonical_specialization
@@ -43,10 +43,13 @@ class ElementSyntaxError(ValueError):
 
 # -- scalar fields ---------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7)
 
 
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, exactly for n < 3,215,031,751, the least composite
+    that Miller-Rabin passes at the bases 2, 3, 5 and 7 (Jaeschke, Math. Comp.
+    61, 1993); every modulus ``PrimeField`` accepts is below it."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -262,9 +265,23 @@ class Element:
         if isinstance(other, Element):
             self._require_same(other)
             alg = self.algebra
+            # [p1][q1] [p2][q2] is 0 unless q1 and p2 share a source and one continues
+            # the other: index the right factor by p2's source and first edge, if any
+            index: dict[str, dict] = {}
+            for m2, c2 in other._terms.items():
+                p2 = m2.left
+                index.setdefault(p2.source, {}).setdefault(p2.edges[:1], []).append((m2, c2))
             raw: dict[Monomial, object] = {}
             for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
+                q1 = m1.right
+                starts = index.get(q1.source)
+                if starts is None:
+                    continue
+                if q1.edges:
+                    meets = chain(starts.get(q1.edges[:1], ()), starts.get((), ()))
+                else:
+                    meets = chain.from_iterable(starts.values())
+                for m2, c2 in meets:
                     m = alg._monomial_product(m1, m2)
                     if m is None:
                         continue

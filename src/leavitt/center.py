@@ -8,14 +8,17 @@ paths p into an exit-free cycle.
 ``brute_force_center`` knows none of that theory: it solves the linear
 commutation constraints directly over the monomial basis and is used to
 validate the construction.  It works on plain tuples of names: a candidate
-[p][q] is (u, p's edges, q's edges, r), read sorted off path layers, and a
-row key is (generator, left source, left edges, right source, right edges),
-written by a one-edge rule that emits basic terms only.  A ``Monomial`` is
-built only for a term of a returned element.  Most rows force their column
-to zero; ``_nullspace`` sets those columns aside.
+[p][q] is (u, p's edges, q's edges, r), read sorted off path layers that the
+graph keeps, and the rows are built one generator at a time, each keyed by
+its output (left source, left edges, right source, right edges) and written
+by one-edge rules that emit basic terms only.  A ``Monomial`` is built only
+for a term of a returned element.  Most rows force their column to zero and
+are dropped as the generator is done; ``_nullspace`` starts from those.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .graph import Cycle, Graph, Path, _Value, cycle_exits
 from .hereditary import _arrival_region, _arrivals, center_structure
@@ -236,22 +239,23 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
     return reduced, pivots
 
 
-def _nullspace(rows: list[dict], ncols: int, field) -> list[dict]:
+def _nullspace(rows: list[dict], ncols: int, field, forced=()) -> list[dict]:
     """Basis of the solution space of rows * x = 0, columns 0..ncols-1.
 
     Rows hold entries that are nonzero in the field, as field scalars or as
     ints such as the oracle's 1 and -1, which elimination reduces where it
     uses them.  A row with one entry forces its column to 0, and so does a
     row left with one entry once the forced columns are dropped; this
-    repeats, with no scalar arithmetic, until no new column is forced.  Only
-    the rest of the system is eliminated, and no forced column is free.  The
-    basis is the one that eliminating the whole system gives: a forced
-    column's row in the unique reduced row echelon form is its unit vector,
-    so the other rows of that form are the form of the rest, and every basis
-    vector is unchanged.  Every column of a reduced row other
+    repeats, with no scalar arithmetic, until no new column is forced.  It
+    starts from the columns in ``forced``, as if each had a one-entry row.
+    Only the rest of the system is eliminated, and no forced column is
+    free.  The basis is the one that eliminating the whole system gives: a
+    forced column's row in the unique reduced row echelon form is its unit
+    vector, so the other rows of that form are the form of the rest, and
+    every basis vector is unchanged.  Every column of a reduced row other
     than its pivot is free, so the basis is read off the rows' own entries.
     """
-    forced: set = set()
+    forced = set(forced)
     while True:
         rest, newly = [], set()
         for row in rows:
@@ -275,85 +279,89 @@ def _nullspace(rows: list[dict], ncols: int, field) -> list[dict]:
     return list(basis.values())
 
 
-def _edge_terms(maps: tuple, c: tuple, key: dict) -> list[tuple[tuple, int]]:
-    """The products of a candidate c = (u, p, q, r), the monomial m = [p][q],
-    and one edge generator, as basic terms (row key, sign): sign 1 for
-    m gen, -1 for gen m.  The row key is (k, left source, left edges, right
-    source, right edges), with k = ``key[e]`` for e and ``key[e] + 1`` for
-    e*; ``maps`` holds the graph's source, target, in- and out-edge maps and
-    its special edges.
-
-    A product of monomials is nonzero exactly when one inner path continues
-    the other, so for an edge e:
-      e m = [e p][q] and m e* = [p][e q] when e ends at u;
-      m e = [p][q'] when q = e q', and [p e][@t(e)] when q is the vertex r;
-      e* m = [p'][q] when p = e p', and [@t(e)][q e] when p is the vertex r;
-    and every other product is 0.  Only e m = [e][q' e], when p is the vertex,
-    and m e* = [p' e][e], when q is, can be non-basic, for e special: the
-    vertex relation at s(e) writes [a e][b e] as [a][b] minus the sum of
-    [a f][b f] over the other out-edges f of s(e).
+def _path_layers(g: Graph, limit: int) -> list[tuple[list, dict]]:
+    """The paths of g of lengths 0..limit, one layer per length, each as the
+    list of (source, edges, range) tuples and those edges grouped by
+    (source, range).  Layer 0 holds the vertices and layer 1 the edges, and
+    each later layer extends the one before through the out-edges, all in
+    declaration order, so every layer is in ``Graph.path_key`` order.  The
+    layers are kept on the graph and extended when a larger limit asks for
+    more; after an empty layer there are none.
     """
-    src, dst, ins, outs, special = maps
-    u, p, q, r = c
-    terms = []
-    for e in ins[u]:
-        s, k = src[e], key[e]
-        terms.append(((k, s, (e,) + p, u, q), -1))
-        terms.append(((k + 1, u, p, s, (e,) + q), 1))
-    if q:
-        terms.append(((key[q[0]], u, p, dst[q[0]], q[1:]), 1))
-    if p:
-        terms.append(((key[p[0]] + 1, dst[p[0]], p[1:], u, q), -1))
-    if not (p and q):
-        for e in outs[r]:
-            if not q:
-                terms.append(((key[e], u, p + (e,), dst[e], ()), 1))
-            if not p:
-                terms.append(((key[e] + 1, dst[e], (), u, q + (e,)), -1))
-        e = (p or q or (None,))[-1]
-        if e in special:
-            # replace [a e][b e], with a = p' and b = q', by its normal form
-            a, b, s = p[:-1], q[:-1], src[e]
-            k, ls, rs, sign = (key[e], s, u, -1) if q else (key[e] + 1, u, s, 1)
-            terms[terms.index(((k, ls, a + (e,), rs, b + (e,)), sign))] = ((k, ls, a, rs, b), sign)
-            for f in outs[s]:
-                if f != e:
-                    terms.append(((k, ls, a + (f,), rs, b + (f,)), -sign))
-    return terms
+    layers = g._path_layers
+    while len(layers) <= limit and (not layers or layers[-1][0]):
+        if not layers:
+            paths = [(v, (), v) for v in g.vertices]
+        elif len(layers) == 1:
+            paths = [(s, (e,), t) for e, s, t in g.edges]
+        else:
+            dst, outs = g._dst, g._out
+            paths = [(s, es + (e,), dst[e]) for s, es, t in layers[-1][0] for e in outs[t]]
+        by_ends: dict[tuple[str, str], list] = {}
+        for s, es, t in paths:
+            by_ends.setdefault((s, t), []).append(es)
+        layers.append((paths, by_ends))
+    return layers
 
 
 def _candidates(algebra: LeavittAlgebra, d: int, max_support: int) -> list[tuple]:
     """The oracle's unknowns, basic monomials [p][q] of degree d and size at
     most max_support whose paths share a source u and range r, in
     ``monomial_key`` order, each as the flat tuple (u, p's edges, q's edges, r).
-
-    Layer 0 holds the vertices and layer 1 the edges, and each later layer
-    extends the one before through the out-edges, all in declaration order.
-    So every layer is in ``Graph.path_key`` order, and no sort is needed.
+    Each layer of p is paired with the grouping of q's layer, so no sort is
+    needed.
     """
-    g, special = algebra.graph, algebra.specialization.special_edges
-    dst, outs = g._dst, g._out
-    by_len = [[(v, (), v) for v in g.vertices]]
+    special = algebra.specialization.special_edges
     limit = (max_support + abs(d)) // 2
-    if limit >= 1:
-        by_len.append([(s, (e,), t) for e, s, t in g.edges])
-    for _ in range(limit - 1):
-        by_len.append([(s, es + (e,), dst[e]) for s, es, t in by_len[-1] for e in outs[t]])
-
+    layers = _path_layers(algebra.graph, limit)[: limit + 1]
     candidates: list[tuple] = []
-    for lq in range(len(by_len)):
+    for lq, (_, by_ends) in enumerate(layers):
         lp = lq + d
-        if lp < 0 or lp >= len(by_len) or lp + lq > max_support:
+        if not (0 <= lp < len(layers) and lp + lq <= max_support):
             continue
-        by_pair: dict[tuple[str, str], list] = {}
-        for s, es, t in by_len[lq]:
-            by_pair.setdefault((s, t), []).append(es)
-        for u, p, r in by_len[lp]:
-            for q in by_pair.get((u, r), ()):
+        for u, p, r in layers[lp][0]:
+            for q in by_ends.get((u, r), ()):
                 # not basic: both paths end with the same special edge
                 if not (lp and lq and p[-1] == q[-1] and p[-1] in special):
                     candidates.append((u, p, q, r))
     return candidates
+
+
+def _generator_rows(e: str, s: str, t: str, others, cands: list, here, firsts, ends) -> dict:
+    """The rows of m e - e m for the edge e from s to t, as
+    {output: {candidate index: sign}}, each output a basic monomial
+    (left source, left edges, right source, right edges).  ``cands`` holds
+    the candidates m = [p][q] as (u, p's edges, q's edges, r); ``here``
+    indexes those with u = t, ``firsts`` those whose q starts with e, and
+    ``ends`` those whose q is the vertex s.  ``others`` is s's out-edges
+    when e is special, else None.
+
+    A product of monomials is nonzero exactly when one inner path continues
+    the other: e m = [e p][q] when u = t, m e = [p][q'] when q = e q', and
+    m e = [p e][@t] when q = @s.  Only e m = [e][q' e] can be non-basic, for
+    e special, and the vertex relation at s writes it as [@s][q'] minus the
+    sum of [f][q' f] over the other out-edges f of s.  No two terms of m e,
+    or of e m, are one monomial, so each sum is -1, 0 or 1: for a loop a at
+    v, a [a][@v] and [a][@v] a cancel.
+    """
+    rows: dict[tuple, dict] = {}
+    for i in here:  # no two of these outputs are one monomial
+        u, p, q, r = cands[i]
+        if others is not None and not p and q and q[-1] == e:
+            b = q[:-1]
+            rows[s, (), u, b] = {i: -1}
+            rows.update(((s, (f,), u, b + (f,)), {i: 1}) for f in others if f != e)
+        else:
+            rows[s, (e,) + p, u, q] = {i: -1}
+    for i in chain(firsts, ends):
+        u, p, q, r = cands[i]
+        out = (u, p, t, q[1:]) if q else (u, p + (e,), t, ())
+        row = rows.get(out)
+        if row is None:
+            rows[out] = {i: 1}
+        elif total := row.pop(i, 0) + 1:
+            row[i] = total
+    return rows
 
 
 def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> list[Element]:
@@ -362,32 +370,43 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     Unknowns are the basic monomials of degree d and size at most
     max_support whose two paths share a source vertex: commutation with the
     vertex generators alone forces that diagonal shape, so the restriction
-    loses nothing.  Edge and edge-star commutators give the linear system,
-    one row per (generator, output monomial).  Candidates and row keys are
-    plain tuples of names, each term comes from a one-edge rule of
-    ``_edge_terms``, which emits basic terms only, and a ``Monomial`` is
-    built only for a term of a returned element.  Each term's sign is summed
-    into its row where it lands, so the rows hold the ints 1 and -1, which
-    ``_row_reduce`` reduces into the field as it eliminates.
+    loses nothing.  Each edge and edge-star generator gives one row per
+    output monomial of its commutators.  The candidates are bucketed once,
+    and the rows are built one generator at a time by ``_generator_rows``;
+    by the involution, m e* - e* m = -(m* e - e m*)*, so e*'s rows are e's
+    on the starred candidates, negated, which has the same solutions.  Each
+    one-entry row forces its column and is dropped; only longer rows are
+    kept for ``_nullspace``.  Rows hold the ints 1 and -1, which
+    ``_row_reduce`` reduces into the field, and a ``Monomial`` is built only
+    for a term of a returned element.
     """
     g, field = algebra.graph, algebra.field
-    maps = (g._src, g._dst, g._in, g._out, algebra.specialization.special_edges)
+    outs, special = g._out, algebra.specialization.special_edges
     candidates = _candidates(algebra, d, max_support)
+    starred = [(u, q, p, r) for u, p, q, r in candidates]
 
-    # edge number k gives the generators e and e*, with row keys 2k and 2k+1
-    key = {e: 2 * k for k, e in enumerate(g.edge_ids())}
-    rows: dict[tuple, dict] = {}
-    for i, c in enumerate(candidates):
-        # terms can cancel: for a loop a at v, a [a][@v] and [a][@v] a are
-        # both [a a][@v].  No two terms of m gen, or of gen m, are one
-        # monomial, so each sum is -1, 0 or 1, and 0 is decided over the ints
-        for out, sign in _edge_terms(maps, c, key):
-            row = rows.setdefault(out, {})
-            if total := row.pop(i, 0) + sign:
-                row[i] = total
+    # candidate indexes by source, by q's and p's first edge or, for a vertex, range
+    at, q_first, p_first, q_vertex, p_vertex = {}, {}, {}, {}, {}
+    for i, (u, p, q, r) in enumerate(candidates):
+        at.setdefault(u, []).append(i)
+        (q_first.setdefault(q[0], []) if q else q_vertex.setdefault(r, [])).append(i)
+        (p_first.setdefault(p[0], []) if p else p_vertex.setdefault(r, [])).append(i)
+
+    forced, kept = set(), []
+    sides = ((candidates, q_first, q_vertex), (starred, p_first, p_vertex))
+    for e, s, t in g.edges:
+        here, others = at.get(t, ()), outs[s] if e in special else None
+        for cands, by_first, by_range in sides:
+            firsts, ends = by_first.get(e, ()), by_range.get(s, ())
+            if here or firsts or ends:
+                for row in _generator_rows(e, s, t, others, cands, here, firsts, ends).values():
+                    if len(row) == 1:
+                        forced.update(row)
+                    elif row:
+                        kept.append(row)
 
     elements = []
-    for vec in _nullspace(list(rows.values()), len(candidates), field):
+    for vec in _nullspace(kept, len(candidates), field, forced):
         picked = ((candidates[i], c) for i, c in vec.items())
         terms = {Monomial(Path(u, p, r), Path(u, q, r)): c for (u, p, q, r), c in picked}
         elements.append(Element(algebra, terms))

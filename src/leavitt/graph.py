@@ -184,6 +184,7 @@ class Graph:
         self._edge_ids = tuple(self._eindex)
         self._hash = hash((vertices, edges))
         self._scc_index = None  # built by the hereditary module on first use
+        self._path_layers = []  # grown by the center module's oracle
 
     # -- basic accessors -------------------------------------------------
 

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import re
 import time
@@ -22,6 +23,8 @@ from leavitt import (
     idempotent,
     parse_graph,
 )
+
+from leavitt.algebra import _is_prime
 
 from oracles import closed_paths_upto, is_power_of_ne_cycle, random_element, random_graph
 
@@ -683,6 +686,16 @@ def test_prime_field_validation():
     for bad in (7.0, 37.0, 4.0, 2.5, "7", Fraction(7), None):
         with pytest.raises(TypeError):
             PrimeField(bad)
+
+
+def test_is_prime_matches_trial_division():
+    # the bases 2, 3, 5 and 7 are exact below 3,215,031,751, past every
+    # modulus PrimeField accepts; the least strong pseudoprimes to the bases
+    # 2, to 2 and 3, and to 2, 3 and 5 must still be rejected
+    for n in range(10**5):
+        assert _is_prime(n) == (n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))), n
+    for n in (2047, 1373653, 25326001):
+        assert not _is_prime(n), n
 
 
 def test_prime_field_algebra_matches_rationals_on_integer_identities(g2):

@@ -55,6 +55,32 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def test_idempotents_products_grow_with_the_nonzero_ones(tmp_path, capsys, monkeypatch):
+    # the law check squares the atom, which on a chain of n vertices has a
+    # term per vertex.  A product meets only the right factor's terms whose
+    # left path starts where the left factor's right path does, with its
+    # first edge or as a vertex, so 4x the vertices may cost at most 5x the
+    # monomial products: trying every pair of terms costs 16x
+    calls = []
+    original = LeavittAlgebra._monomial_product
+
+    def counted(self, m1, m2):
+        calls.append(None)
+        return original(self, m1, m2)
+
+    monkeypatch.setattr(LeavittAlgebra, "_monomial_product", counted)
+    counts = []
+    for n in (100, 400):
+        path = tmp_path / f"chain{n}.lpa"
+        lines = [f"vertex v{i}" for i in range(n)] + [f"edge e{i} v{i} v{i + 1}" for i in range(n - 1)]
+        path.write_text("\n".join(lines) + "\n")
+        calls.clear()
+        code, out, err = run(capsys, "idempotents", str(path))
+        assert code == 0 and "finitary annihilator subsets: 2\n" in out, (out[:80], err)
+        counts.append(len(calls))
+    assert 0 < counts[0] and counts[1] <= 5 * counts[0], counts
+
+
 def test_analyze_text_output(capsys):
     code, out, err = run(capsys, "analyze", fx("g3"))
     assert code == 0
