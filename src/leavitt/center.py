@@ -9,11 +9,12 @@ paths p into an exit-free cycle.
 commutation constraints directly over the monomial basis and is used to
 validate the construction.  It works on plain tuples of names: a candidate
 [p][q] is (u, p's edges, q's edges, r), read sorted off path layers that the
-graph keeps, and the rows are built one generator at a time, each keyed by
-its output (left source, left edges, right source, right edges) and written
-by one-edge rules that emit basic terms only.  A ``Monomial`` is built only
-for a term of a returned element.  Most rows force their column to zero and
-are dropped as the generator is done; ``_nullspace`` starts from those.
+graph keeps, and the rows are built one edge at a time, each keyed by its
+output (left source, left edges, right source, right edges) and written by
+one-edge rules that emit basic terms only; the edge stars need no rows.  A
+``Monomial`` is built only for a term of a returned element.  Most rows
+force their column to zero and are dropped as the edge is done;
+``_nullspace`` starts from those.
 """
 
 from __future__ import annotations
@@ -370,11 +371,13 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     Unknowns are the basic monomials of degree d and size at most
     max_support whose two paths share a source vertex: commutation with the
     vertex generators alone forces that diagonal shape, so the restriction
-    loses nothing.  Each edge and edge-star generator gives one row per
-    output monomial of its commutators.  The candidates are bucketed once,
-    and the rows are built one generator at a time by ``_generator_rows``;
-    by the involution, m e* - e* m = -(m* e - e m*)*, so e*'s rows are e's
-    on the starred candidates, negated, which has the same solutions.  Each
+    loses nothing.  Each edge e gives one row per output monomial of its
+    commutator, and e* gives none: if x commutes with the vertices and the
+    edges, the vertex relation at v = s(e) gives e* x = sum of e* x f f* =
+    sum of e* f x f* = r(e) x e* = x e*, over the out-edges f of v.  So the
+    edge rows have the kernel of the full system, and with it its row
+    space, reduced form and basis.  The candidates are bucketed once, and
+    ``_generator_rows`` builds the rows one edge at a time.  Each
     one-entry row forces its column and is dropped; only longer rows are
     kept for ``_nullspace``.  Rows hold the ints 1 and -1, which
     ``_row_reduce`` reduces into the field, and a ``Monomial`` is built only
@@ -383,27 +386,23 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     g, field = algebra.graph, algebra.field
     outs, special = g._out, algebra.specialization.special_edges
     candidates = _candidates(algebra, d, max_support)
-    starred = [(u, q, p, r) for u, p, q, r in candidates]
 
-    # candidate indexes by source, by q's and p's first edge or, for a vertex, range
-    at, q_first, p_first, q_vertex, p_vertex = {}, {}, {}, {}, {}
+    # candidate indexes by source, and by q's first edge or, for a vertex, range
+    at, q_first, q_vertex = {}, {}, {}
     for i, (u, p, q, r) in enumerate(candidates):
         at.setdefault(u, []).append(i)
         (q_first.setdefault(q[0], []) if q else q_vertex.setdefault(r, [])).append(i)
-        (p_first.setdefault(p[0], []) if p else p_vertex.setdefault(r, [])).append(i)
 
     forced, kept = set(), []
-    sides = ((candidates, q_first, q_vertex), (starred, p_first, p_vertex))
     for e, s, t in g.edges:
         here, others = at.get(t, ()), outs[s] if e in special else None
-        for cands, by_first, by_range in sides:
-            firsts, ends = by_first.get(e, ()), by_range.get(s, ())
-            if here or firsts or ends:
-                for row in _generator_rows(e, s, t, others, cands, here, firsts, ends).values():
-                    if len(row) == 1:
-                        forced.update(row)
-                    elif row:
-                        kept.append(row)
+        firsts, ends = q_first.get(e, ()), q_vertex.get(s, ())
+        if here or firsts or ends:
+            for row in _generator_rows(e, s, t, others, candidates, here, firsts, ends).values():
+                if len(row) == 1:
+                    forced.update(row)
+                elif row:
+                    kept.append(row)
 
     elements = []
     for vec in _nullspace(kept, len(candidates), field, forced):
@@ -413,29 +412,28 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     return elements
 
 
-def span_dimension(elements) -> int:
-    """Rank of a family of elements of one algebra."""
-    elements = list(elements)
-    if not elements:
-        return 0
-    algebra = elements[0].algebra
-    field = algebra.field
-    index: dict[Monomial, int] = {}
+def _reduced_family(elements, index: dict, algebra=None) -> tuple:
+    """(algebra, reduced rows) of a family of elements of one algebra, each
+    monomial numbered by ``index``, which numbers new ones as they come."""
     rows = []
     for el in elements:
+        algebra = algebra or el.algebra
         if el.algebra != algebra:
             raise ValueError("elements live in different algebras")
-        row = {}
-        for m, c in el._terms.items():
-            row[index.setdefault(m, len(index))] = c
-        rows.append(row)
-    reduced, _ = _row_reduce(rows, field)
-    return len(reduced)
+        rows.append({index.setdefault(m, len(index)): c for m, c in el._terms.items()})
+    return algebra, _row_reduce(rows, algebra.field)[0] if rows else []
+
+
+def span_dimension(elements) -> int:
+    """Rank of a family of elements of one algebra."""
+    return len(_reduced_family(elements, {})[1])
 
 
 def spans_equal(first, second) -> bool:
-    """Whether two families of elements span the same subspace."""
-    first, second = list(first), list(second)
-    r1 = span_dimension(first)
-    r2 = span_dimension(second)
-    return r1 == r2 == span_dimension(first + second)
+    """Whether two families of elements of one algebra span the same
+    subspace: both are reduced once over one monomial index, and the rank of
+    their union is that of the two reduced families stacked."""
+    index: dict[Monomial, int] = {}
+    algebra, one = _reduced_family(first, index)
+    algebra, two = _reduced_family(second, index, algebra)
+    return len(one) == len(two) and (not one or len(_row_reduce(one + two, algebra.field)[0]) == len(one))
