@@ -229,9 +229,6 @@ class Element:
     def degrees(self) -> list[int]:
         return sorted({m.degree for m in self._terms})
 
-    def support_size(self) -> int:
-        return max((m.size for m in self._terms), default=0)
-
     # -- ring operations --------------------------------------------------
 
     def _require_same(self, other: "Element") -> None:
@@ -298,14 +295,6 @@ class Element:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("exponent must be a positive integer")
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
 
     def star(self) -> "Element":
         """The involution: swap the two paths of every monomial."""

@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .graph import Cycle, Graph, Path, _Value, cycle_exits
+from .graph import Graph, Path, _Value
 from .hereditary import _arrival_region, _arrivals, center_structure
 from .algebra import Element, LeavittAlgebra, Monomial
 
 __all__ = [
-    "HasExitError",
     "idempotent",
-    "cycle_generator",
-    "embed",
     "CentralBasis",
     "center_basis",
     "center_dimension_predicted",
@@ -38,10 +35,6 @@ __all__ = [
     "span_dimension",
     "spans_equal",
 ]
-
-
-class HasExitError(ValueError):
-    """The cycle has an exit, so its rotation sums are not central."""
 
 
 def idempotent(algebra: LeavittAlgebra, ws) -> Element:
@@ -75,50 +68,6 @@ def idempotent(algebra: LeavittAlgebra, ws) -> Element:
     return Element(algebra, terms)
 
 
-def cycle_generator(algebra: LeavittAlgebra, c: Cycle) -> Element:
-    """Sum of the rotations of an exit-free cycle, each based at its own
-    start vertex.  Central in the corner algebra over the cycle's vertices.
-
-    Each term [rot_s][@s] has an empty right path, so it is basic.
-    """
-    exits = cycle_exits(algebra.graph, c)
-    if exits:
-        raise HasExitError(
-            f"cycle {c} has exit edge {exits[0]!r}; its rotation sum is not central"
-        )
-    one = algebra.field.one
-    terms = {}
-    for i, s in enumerate(c.sources):
-        terms[Monomial(Path(s, c.edges[i:] + c.edges[:i], s), Path(s, (), s))] = one
-    return Element(algebra, terms)
-
-
-def embed(algebra: LeavittAlgebra, ws, a: Element) -> Element:
-    """Conjugate an element supported on a finitary annihilator subset out
-    to the whole algebra: sum of p a p^* over arrival paths p.
-
-    Conjugating a monomial x y^* by one path needs that path to end at the
-    shared source of x and y, so every monomial of ``a`` must have both its
-    paths based at one vertex of the subset.
-    """
-    if a.algebra != algebra:
-        raise ValueError("element belongs to a different algebra")
-    g = algebra.graph
-    arrivals = _arrivals(g, ws)
-    inside = frozenset(ws)
-    terms = {}
-    for m, c in a._terms.items():
-        if m.left.source != m.right.source:
-            raise ValueError(f"monomial {m} is not based at a single vertex")
-        if m.left.source not in inside:
-            raise ValueError(f"monomial {m} is not supported inside the subset")
-        for p in arrivals:
-            if p.target != m.left.source:
-                continue
-            terms[Monomial(g.concat(p, m.left), g.concat(p, m.right))] = c
-    return Element(algebra, algebra._normal_form(terms))
-
-
 class CentralBasis(_Value):
     """A basis of one graded piece of the center, with provenance strings."""
 
@@ -140,7 +89,8 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
     yields, for each Laurent summand whose cycle c has length n dividing
     |d|, the sum over the arrival paths p into c's vertex set of [p rot^k][p]
     (sides swapped for d < 0), with k = |d|/n and rot the cycle read from
-    where p ends.  That is ``embed(alg, C, cycle_generator(alg, c) ** k)``,
+    where p ends.  That is the sum of p z^k p^* over those arrival paths,
+    computed by the algebra's products, with z the sum of c's rotations,
     starred for d < 0, term for term.  Every term is basic: its left side
     ends with a cycle edge and its right side does not.  The index built c
     with no exit, so nothing is re-checked.

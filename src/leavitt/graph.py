@@ -202,9 +202,6 @@ class Graph:
     def has_vertex(self, v: str) -> bool:
         return v in self._vindex
 
-    def has_edge(self, e: str) -> bool:
-        return e in self._eindex
-
     def source_of(self, e: str) -> str:
         try:
             return self._src[e]
@@ -262,11 +259,6 @@ class Graph:
                 raise ValueError(f"edge {e!r} does not start at {cur!r}")
             cur = self.target_of(e)
         return Path(source, edges, cur)
-
-    def concat(self, a: Path, b: Path) -> Path:
-        if a.target != b.source:
-            raise ValueError(f"paths do not compose: {a} ends at {a.target!r}, {b} starts at {b.source!r}")
-        return Path(a.source, a.edges + b.edges, b.target)
 
     def path_key(self, p: Path):
         """Sort key: length, then the declaration indexes of the edges, then

@@ -643,16 +643,6 @@ def test_algebra_mismatch(g1, g2):
         a1.one() * a2.one()
 
 
-def test_pow_validation(g1):
-    alg = LeavittAlgebra(g1)
-    c = alg.edge("c")
-    assert c ** 3 == c * c * c
-    with pytest.raises(ValueError):
-        c ** 0
-    with pytest.raises(ValueError):
-        c ** -1
-
-
 def test_fp_scalar_arithmetic():
     # residues are plain ints in [0, p); the field reduces and inverts them
     field = PrimeField(7)

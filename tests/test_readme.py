@@ -7,6 +7,7 @@ import shlex
 
 import pytest
 
+import leavitt
 from leavitt import LeavittAlgebra
 from leavitt.cli import main
 
@@ -40,3 +41,13 @@ def test_readme_element_syntax_example(g3):
     section = README.split("## Element syntax", 1)[1]
     example = re.search(r"^```\n(.*?)\n```$", section, re.M | re.S).group(1)
     assert str(LeavittAlgebra(g3).parse_element(example)) == "-1/2*v1+[a b2][@v3]"
+
+
+def test_readme_entry_points_are_exported():
+    # every backticked name before a bullet's first colon is a package export
+    entries = README.split("The main entry points:\n\n", 1)[1].split("\n\n", 1)[0]
+    bullets = entries[2:].split("\n- ")
+    assert len(bullets) == 5
+    for bullet in bullets:
+        names = re.findall(r"`([^`]+)`", bullet.split(":", 1)[0])
+        assert names and set(names) <= set(leavitt.__all__), (names, bullet)
