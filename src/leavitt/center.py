@@ -9,17 +9,16 @@ paths p into an exit-free cycle.
 commutation constraints directly over the monomial basis and is used to
 validate the construction.  It works on plain tuples of names: a candidate
 [p][q] is (u, p's edges, q's edges, r), read sorted off path layers that the
-graph keeps, and the rows are built one edge at a time, each keyed by its
-output (left source, left edges, right source, right edges) and written by
-one-edge rules that emit basic terms only; the edge stars need no rows.  A
+graph keeps.  The rows are built one edge at a time from two buckets, the
+candidates m by source and under each edge e with m e != 0, each keyed by
+its output (left source, left edges, right source, right edges) and written
+by one-edge rules that emit basic terms only; the edge stars need no rows.  A
 ``Monomial`` is built only for a term of a returned element.  Most rows
 force their column to zero and are dropped as the edge is done;
 ``_nullspace`` starts from those.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .graph import Graph, Path, _Value
 from .hereditary import _arrival_region, _arrivals, center_structure
@@ -95,20 +94,16 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
     ends with a cycle edge and its right side does not.  The index built c
     with no exit, so nothing is re-checked.
     """
-    report = center_structure(algebra.graph)
     elements: list[Element] = []
     provenance: list[str] = []
     if d == 0:
-        for s in report.summands:
+        for s in center_structure(algebra.graph).summands:
             elements.append(idempotent(algebra, s.support))
             sup = "{" + ",".join(algebra.graph.sorted_vertices(s.support)) + "}"
             provenance.append(f"idempotent of {sup}")
         return CentralBasis(0, tuple(elements), tuple(provenance))
     one = algebra.field.one
-    for s in report.summands:
-        c = s.cycle
-        if c is None or d % c.length != 0:
-            continue
+    for c in _lifted_cycles(algebra.graph, d):
         k = abs(d) // c.length
         rot = {v: (c.edges[i:] + c.edges[:i]) * k for i, v in enumerate(c.sources)}
         terms = {}
@@ -120,17 +115,16 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
     return CentralBasis(d, tuple(elements), tuple(provenance))
 
 
+def _lifted_cycles(graph: Graph, d: int) -> list:
+    """The cycles of the Laurent summands whose length divides d != 0: each
+    gives one basis element of the degree-d piece of the center."""
+    return [s.cycle for s in center_structure(graph).summands if s.cycle is not None and d % s.cycle.length == 0]
+
+
 def center_dimension_predicted(graph: Graph, d: int) -> int:
     """Dimension of the degree-d piece of the center, from the structure
     of the finitary annihilator algebra alone."""
-    report = center_structure(graph)
-    if d == 0:
-        return len(report.summands)
-    return sum(
-        1
-        for s in report.summands
-        if s.cycle is not None and d % s.cycle.length == 0
-    )
+    return len(center_structure(graph).summands) if d == 0 else len(_lifted_cycles(graph, d))
 
 
 def oracle_bound(graph: Graph, d: int) -> int:
@@ -141,13 +135,17 @@ def oracle_bound(graph: Graph, d: int) -> int:
     summand's support or a Laurent cycle's vertex set.  Any arrival path
     into a Laurent support extends, along a shortest path into the cycle,
     to one at least as long into the cycle, so the support needs no search
-    of its own.  The extra slack leaves room for the oracle to notice
-    elements just past the boundary.
+    of its own.  One pass over each arrival region, successors first, finds
+    the longest arrival path from each vertex, with none listed.  The extra
+    slack leaves room for the oracle to notice elements just past the boundary.
     """
     base = 0
     for s in center_structure(graph).summands:
-        ws = s.support if s.cycle is None else s.cycle.vertex_set
-        base = max([base, *(p.length for p in _arrivals(graph, ws))])
+        W, below = _arrival_region(graph, s.support if s.cycle is None else s.cycle.vertex_set)
+        depth = dict.fromkeys(W, 0)
+        for v in below:
+            depth[v] = 1 + max(depth.get(graph.target_of(f), -1) for f in graph.out_edges(v))
+        base = max(base, *depth.values())
     return 2 * base + abs(d) + 2
 
 
@@ -278,14 +276,14 @@ def _candidates(algebra: LeavittAlgebra, d: int, max_support: int) -> list[tuple
     return candidates
 
 
-def _generator_rows(e: str, s: str, t: str, others, cands: list, here, firsts, ends) -> dict:
+def _generator_rows(e: str, s: str, t: str, others, cands: list, here, meets) -> dict:
     """The rows of m e - e m for the edge e from s to t, as
     {output: {candidate index: sign}}, each output a basic monomial
     (left source, left edges, right source, right edges).  ``cands`` holds
     the candidates m = [p][q] as (u, p's edges, q's edges, r); ``here``
-    indexes those with u = t, ``firsts`` those whose q starts with e, and
-    ``ends`` those whose q is the vertex s.  ``others`` is s's out-edges
-    when e is special, else None.
+    indexes those with u = t, so e m != 0, and ``meets`` those with
+    m e != 0, whose q starts with e or is the vertex s.  ``others`` is s's
+    out-edges when e is special, else None.
 
     A product of monomials is nonzero exactly when one inner path continues
     the other: e m = [e p][q] when u = t, m e = [p][q'] when q = e q', and
@@ -304,7 +302,7 @@ def _generator_rows(e: str, s: str, t: str, others, cands: list, here, firsts, e
             rows.update(((s, (f,), u, b + (f,)), {i: 1}) for f in others if f != e)
         else:
             rows[s, (e,) + p, u, q] = {i: -1}
-    for i in chain(firsts, ends):
+    for i in meets:
         u, p, q, r = cands[i]
         out = (u, p, t, q[1:]) if q else (u, p + (e,), t, ())
         row = rows.get(out)
@@ -326,29 +324,30 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     edges, the vertex relation at v = s(e) gives e* x = sum of e* x f f* =
     sum of e* f x f* = r(e) x e* = x e*, over the out-edges f of v.  So the
     edge rows have the kernel of the full system, and with it its row
-    space, reduced form and basis.  The candidates are bucketed once, and
-    ``_generator_rows`` builds the rows one edge at a time.  Each
-    one-entry row forces its column and is dropped; only longer rows are
-    kept for ``_nullspace``.  Rows hold the ints 1 and -1, which
-    ``_row_reduce`` reduces into the field, and a ``Monomial`` is built only
-    for a term of a returned element.
+    space, reduced form and basis.  The candidates are bucketed once, by
+    source and under each edge e with m e != 0 (q's first edge, or each
+    out-edge of a vertex q), and ``_generator_rows`` builds the rows one
+    edge at a time.  Each one-entry row forces its column and is dropped;
+    only longer rows are kept for ``_nullspace``.  Rows hold the ints 1 and
+    -1, which ``_row_reduce`` reduces into the field, and a ``Monomial`` is
+    built only for a term of a returned element.
     """
     g, field = algebra.graph, algebra.field
     outs, special = g._out, algebra.specialization.special_edges
     candidates = _candidates(algebra, d, max_support)
 
-    # candidate indexes by source, and by q's first edge or, for a vertex, range
-    at, q_first, q_vertex = {}, {}, {}
+    # candidate indexes by source, and under each edge e with m e != 0
+    at, meets = {}, {}
     for i, (u, p, q, r) in enumerate(candidates):
         at.setdefault(u, []).append(i)
-        (q_first.setdefault(q[0], []) if q else q_vertex.setdefault(r, [])).append(i)
+        for e in q[:1] or outs[r]:
+            meets.setdefault(e, []).append(i)
 
     forced, kept = set(), []
     for e, s, t in g.edges:
         here, others = at.get(t, ()), outs[s] if e in special else None
-        firsts, ends = q_first.get(e, ()), q_vertex.get(s, ())
-        if here or firsts or ends:
-            for row in _generator_rows(e, s, t, others, candidates, here, firsts, ends).values():
+        if here or e in meets:
+            for row in _generator_rows(e, s, t, others, candidates, here, meets.get(e, ())).values():
                 if len(row) == 1:
                     forced.update(row)
                 elif row:

@@ -8,10 +8,10 @@ of the associated Leavitt path algebra.
 Every one of these is a reachability fact about the strongly connected
 components (SCCs) of the graph, so each graph computes its SCCs once, on
 first use, and keeps them with the facts derived from them (``_Index``).
-The SCCs come from Kosaraju's two sweeps, in topological order.  One pass in
-reverse order then gives each SCC the set of minimal sets it reaches, and
-the classes and their supports are read off those sets: all vertices of an
-SCC reach exactly the same minimal sets.
+The SCCs and their condensation come from Kosaraju's two sweeps, in
+topological order.  One pass in reverse order then gives each SCC the set
+of minimal sets it reaches, and the classes and their supports are read off
+those sets: all vertices of an SCC reach exactly the same minimal sets.
 """
 
 from __future__ import annotations
@@ -210,11 +210,14 @@ def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArriv
     return FiniteArrivals(tuple(paths))
 
 
-def _strong_components(g: Graph) -> list[frozenset[str]]:
-    """Kosaraju's two sweeps: the SCCs in topological order.
+def _strong_components(g: Graph) -> tuple[list[frozenset[str]], dict[str, int], list[set[int]]]:
+    """Kosaraju's two sweeps: the SCCs in topological order, each vertex's
+    SCC, and each SCC's successors, itself exactly when it holds a cycle.
 
     In reverse order of finishing a depth-first search, each unplaced vertex
     lies in an SCC no other unplaced SCC reaches: its unplaced ancestors.
+    The second sweep reads each edge once, as an in-edge of its target, whose
+    source is then placed in that SCC or an earlier one.
     """
     finished: list[str] = []
     seen: set[str] = set()
@@ -234,21 +237,22 @@ def _strong_components(g: Graph) -> list[frozenset[str]]:
             else:
                 work.pop()
                 finished.append(v)
-    out: list[frozenset[str]] = []
-    placed: set[str] = set()
+    comps, comp_of, succs = [], {}, []
     for root in reversed(finished):
-        if root in placed:
+        if root in comp_of:
             continue
-        placed.add(root)
+        i = comp_of[root] = len(comps)
+        succs.append(set())
         comp = [root]
         for v in comp:  # grows while it is read
             for e in g.in_edges(v):
                 s = g.source_of(e)
-                if s not in placed:
-                    placed.add(s)
+                if s not in comp_of:
+                    comp_of[s] = i
                     comp.append(s)
-        out.append(frozenset(comp))
-    return out
+                succs[comp_of[s]].add(i)
+        comps.append(frozenset(comp))
+    return comps, comp_of, succs
 
 
 class _Index:
@@ -267,14 +271,10 @@ class _Index:
     """
 
     def __init__(self, g: Graph):
-        comps = _strong_components(g)
-        comp_of = self.comp_of = {v: i for i, S in enumerate(comps) for v in S}
+        comps, self.comp_of, succs = _strong_components(g)
         bits = [0] * len(comps)
         for k, v in enumerate(g.vertices):
-            bits[comp_of[v]] |= 1 << k
-        succs: list[set[int]] = [set() for _ in comps]
-        for _, s, t in g.edges:
-            succs[comp_of[s]].add(comp_of[t])
+            bits[self.comp_of[v]] |= 1 << k
         self.cyclic = 0  # vertices on a cycle
         self.reach_into = bits[:]  # per SCC, the vertices with a path into it
         loops = []  # the SCCs that hold a cycle

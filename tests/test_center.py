@@ -657,9 +657,8 @@ def test_edge_rules_give_every_nonzero_generator_product(chain_loop, fork_loops,
                 s, t = g.source_of(e), g.target_of(e)
                 others = g.out_edges(s) if alg.specialization.is_special(e) else None
                 here = [i for i, (u, p, q, r) in enumerate(cands) if u == t]
-                firsts = [i for i, (u, p, q, r) in enumerate(cands) if q[:1] == (e,)]
-                ends = [i for i, (u, p, q, r) in enumerate(cands) if not q and r == s]
-                for out, row in _generator_rows(e, s, t, others, cands, here, firsts, ends).items():
+                meets = [i for i, (u, p, q, r) in enumerate(cands) if q[:1] == (e,) or not q and r == s]
+                for out, row in _generator_rows(e, s, t, others, cands, here, meets).items():
                     out = _as_monomial(g, *out)
                     assert alg.is_basic(out), (g, str(out))
                     for i, sign in row.items():
@@ -687,10 +686,9 @@ def test_oracle_hands_each_generator_the_candidates_it_meets(monkeypatch, chain_
                 for e, s, t in g.edges:
                     others = g.out_edges(s) if alg.specialization.is_special(e) else None
                     here = [i for i, (u, p, q, r) in enumerate(cands) if u == t]
-                    firsts = [i for i, (u, p, q, r) in enumerate(cands) if q[:1] == (e,)]
-                    ends = [i for i, (u, p, q, r) in enumerate(cands) if not q and r == s]
-                    if here or firsts or ends:
-                        expected.append((e, s, t, others, cands, here, firsts, ends))
+                    meets = [i for i, (u, p, q, r) in enumerate(cands) if q[:1] == (e,) or not q and r == s]
+                    if here or meets:
+                        expected.append((e, s, t, others, cands, here, meets))
                 calls.clear()
                 brute_force_center(alg, d, cap)
                 assert [args[:5] + tuple(map(list, args[5:])) for args in calls] == expected, (g, d)
@@ -856,9 +854,9 @@ def test_oracle_bound_searches_once_per_summand(monkeypatch, corpus, chain_loop,
 
     def counted(g, ws):
         searched.append(ws)
-        return leavitt.hereditary._arrivals(g, ws)
+        return leavitt.hereditary._arrival_region(g, ws)
 
-    monkeypatch.setattr(leavitt.center, "_arrivals", counted)
+    monkeypatch.setattr(leavitt.center, "_arrival_region", counted)
     for g in [chain_loop, fork_loops] + corpus:
         summands = center_structure(g).summands
         base = 0
@@ -868,6 +866,22 @@ def test_oracle_bound_searches_once_per_summand(monkeypatch, corpus, chain_loop,
         searched.clear()
         assert oracle_bound(g, 0) == 2 * base + 2, g
         assert len(searched) == len(summands)
+
+
+def test_oracle_bound_lists_no_arrival_path(monkeypatch):
+    # n diamonds, then a fork into two sinks: 2^n arrival paths into each
+    # sink, the longest of length 2n + 1, found with no path listed
+    n = 60
+    lines = [f"vertex {v}{i}" for i in range(n) for v in "abc"] + [f"vertex a{n}", "vertex x", "vertex y"]
+    for i in range(n):
+        lines += [f"edge f{i} a{i} b{i}", f"edge g{i} a{i} c{i}", f"edge h{i} b{i} a{i + 1}", f"edge k{i} c{i} a{i + 1}"]
+    g = parse_graph("\n".join(lines + [f"edge ex a{n} x", f"edge ey a{n} y"]) + "\n")
+
+    def refused(*args):
+        raise AssertionError("oracle_bound listed the arrival paths")
+
+    monkeypatch.setattr(leavitt.center, "_arrivals", refused)
+    assert oracle_bound(g, 0) == 244 == 4 * n + 4
 
 
 def test_oracle_bound_is_base_plus_degree(graphs, corpus):

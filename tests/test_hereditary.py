@@ -359,24 +359,34 @@ def test_cached_results_are_not_shared_with_callers(g3):
 def test_strong_components_are_reachability_classes_in_topological_order(corpus):
     rng = random.Random(808)
     for g in corpus + [random_graph(rng, 40, 80) for _ in range(50)]:
-        comps = _strong_components(g)
+        comps, comp_of, succs = _strong_components(g)
         pairs = brute_reaches(g)
         mutual = {
             frozenset(u for u in g.vertices if (u, v) in pairs and (v, u) in pairs)
             for v in g.vertices
         }
         assert len(comps) == len(mutual) and set(comps) == mutual
-        comp_of = {v: i for i, S in enumerate(comps) for v in S}
+        assert comp_of == {v: i for i, S in enumerate(comps) for v in S}
         for e in g.edge_ids():
             assert comp_of[g.source_of(e)] <= comp_of[g.target_of(e)]
+        # the condensation: j follows i != j exactly when an edge runs from
+        # SCC i to SCC j, and i follows itself exactly when it holds a cycle
+        crossing = {(comp_of[g.source_of(e)], comp_of[g.target_of(e)]) for e in g.edge_ids()}
+        loops = {g.source_of(e) for e in g.edge_ids() if g.source_of(e) == g.target_of(e)}
+        assert len(succs) == len(comps)
+        for i, S in enumerate(comps):
+            for j in range(len(comps)):
+                if j != i:
+                    assert (j in succs[i]) == ((i, j) in crossing), (g, i, j)
+            assert (i in succs[i]) == (len(S) >= 2 or bool(S & loops)), (g, i)
 
     # iterative sweeps: no recursion limit on a long cycle or a long chain
     n = 3000
     names = [f"c{i}" for i in range(n)]
     ring = Graph(names, [(f"e{i}", names[i], names[(i + 1) % n]) for i in range(n)])
-    assert _strong_components(ring) == [frozenset(names)]
+    assert _strong_components(ring)[0::2] == ([frozenset(names)], [{0}])
     chain = Graph(names, [(f"e{i}", names[i], names[i + 1]) for i in range(n - 1)])
-    assert _strong_components(chain) == [frozenset((v,)) for v in names]
+    assert _strong_components(chain)[0::2] == ([frozenset((v,)) for v in names], [{i + 1} for i in range(n - 1)] + [set()])
 
 
 # -- the classes, supports and Boolean algebras from their definitions -------
