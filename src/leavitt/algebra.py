@@ -305,11 +305,20 @@ class Element:
         return Element(self.algebra, {m: c for m, c in self._terms.items() if m.degree == d})
 
     def is_central(self) -> bool:
-        """Exact commutation with every generating vertex, edge, and edge star."""
-        for gen in self.algebra.generators():
-            if self * gen != gen * self:
-                return False
-        return True
+        """Exact commutation with every vertex, edge and edge star.
+
+        v [p][q] is [p][q] if p starts at v, else 0, and [p][q] v is [p][q] if
+        q starts at v, else 0.  The terms are distinct basic monomials, so x
+        commutes with the vertices exactly when each term's two paths share a
+        source.  Such an x commutes with every e* once it commutes with every
+        edge: by the vertex relation at v = s(e), e* x = sum of e* x f f* =
+        sum of e* f x f* = r(e) x e* = x e* over the out-edges f of v.  So the
+        sources and the 2|E| products x e and e x decide.
+        """
+        if any(m.left.source != m.right.source for m in self._terms):
+            return False
+        alg = self.algebra
+        return all(self * gen == gen * self for gen in map(alg.edge, alg.graph.edge_ids()))
 
     # -- value semantics ---------------------------------------------------
 
@@ -388,9 +397,7 @@ class LeavittAlgebra:
         return Element(self, {m: self.field.one})
 
     def edge_star(self, e: str) -> Element:
-        g = self.graph
-        m = Monomial(g.vertex_path(g.target_of(e)), g.edge_path(e))
-        return Element(self, {m: self.field.one})
+        return self.edge(e).star()
 
     def _check_path(self, p: Path) -> None:
         """Raise unless ``p`` is a path of the graph, stored target included."""
@@ -420,13 +427,6 @@ class LeavittAlgebra:
             raw[m] = raw.get(m, 0) + self.field.coerce(c)
         return Element(self, self._normal_form(raw))
 
-    def generators(self) -> list[Element]:
-        g = self.graph
-        gens = [self.vertex(v) for v in g.vertices]
-        gens += [self.edge(e) for e in g.edge_ids()]
-        gens += [self.edge_star(e) for e in g.edge_ids()]
-        return gens
-
     # -- normal form --------------------------------------------------------
 
     def is_basic(self, m: Monomial) -> bool:
@@ -434,49 +434,38 @@ class LeavittAlgebra:
         return not (le and re_ and le[-1] == re_[-1] and self.specialization.is_special(le[-1]))
 
     def _normal_form(self, raw: dict) -> dict:
-        """Rewrite until every monomial is basic.
+        """The basic form of ``raw``, in one pass over its terms.
 
-        A monomial whose paths share a special last edge is expanded through
-        the vertex relation at that edge's source; the expansion strictly
-        shortens one branch and the other branches are already basic, so the
-        loop terminates.  The coefficients of ``raw`` may be unreduced sums and
-        products of scalars: each stored total goes through ``field.reduce``,
-        so the output holds canonical nonzero scalars.
+        A basic monomial is stored as it is.  While [a e][b e] has a special
+        last edge e on both sides, the vertex relation at v = s(e) peels it to
+        [a][b] and adds -c [a f][b f] to the output for each other out-edge f
+        of v, which is not special, so the term is basic.  Unreduced scalars
+        in ``raw`` are fine: each stored total goes through ``field.reduce``.
         """
-        g = self.graph
-        red = self.field.reduce
+        g, special, red = self.graph, self.specialization.special_edges, self.field.reduce
         out: dict[Monomial, object] = {}
-        stack = list(raw.items())
-        while stack:
-            m, c = stack.pop()
+
+        def add(m: Monomial, c) -> None:
+            acc = out.get(m)
+            total = red(c if acc is None else acc + c)
+            if total:
+                out[m] = total
+            elif acc is not None:
+                del out[m]
+
+        for m, c in raw.items():
             if not c:
                 continue
-            if self.is_basic(m):
-                acc = out.get(m)
-                total = red(c if acc is None else acc + c)
-                if total:
-                    out[m] = total
-                elif acc is not None:
-                    del out[m]
-                continue
-            e = m.left.edges[-1]
-            v = g.source_of(e)
-            left1 = Path(m.left.source, m.left.edges[:-1], v)
-            right1 = Path(m.right.source, m.right.edges[:-1], v)
-            stack.append((Monomial(left1, right1), c))
-            for f in g.out_edges(v):
-                if f == e:
-                    continue
-                t = g.target_of(f)
-                stack.append(
-                    (
-                        Monomial(
-                            Path(left1.source, left1.edges + (f,), t),
-                            Path(right1.source, right1.edges + (f,), t),
-                        ),
-                        -c,
-                    )
-                )
+            (u, a, _), (w, b, _) = m
+            v = None
+            while a and b and a[-1] == b[-1] and a[-1] in special:
+                e, a, b = a[-1], a[:-1], b[:-1]
+                v = g.source_of(e)
+                for f in g.out_edges(v):
+                    if f != e:
+                        t = g.target_of(f)
+                        add(Monomial(Path(u, a + (f,), t), Path(w, b + (f,), t)), -c)
+            add(m if v is None else Monomial(Path(u, a, v), Path(w, b, v)), c)
         return out
 
     def _monomial_product(self, m1: Monomial, m2: Monomial) -> Monomial | None:

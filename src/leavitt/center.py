@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .graph import Graph, Path, _Value
 from .hereditary import _arrival_region, _arrivals, center_structure
-from .algebra import Element, LeavittAlgebra, Monomial
+from .algebra import AlgebraMismatchError, Element, LeavittAlgebra, Monomial
 
 __all__ = [
     "idempotent",
@@ -157,18 +157,23 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
     red = field.reduce
     pivots: dict = {}
     reduced: list[dict] = []
+
+    def subtract(target: dict, col, row: dict) -> None:
+        """target -= target[col] * row, for a row whose pivot is col."""
+        lead = target[col]
+        for c, v in row.items():
+            total = red(target.get(c, 0) - lead * v)
+            if total:
+                target[c] = total
+            else:
+                target.pop(c, None)
+
     for row in rows:
         row = dict(row)
         # stored pivot rows never contain each other's pivot columns, so one
         # pass over the pivot columns present in the incoming row clears all
         for c in [c for c in row if c in pivots]:
-            lead = row[c]
-            for c2, v2 in reduced[pivots[c]].items():
-                total = red(row.get(c2, 0) - lead * v2)
-                if total:
-                    row[c2] = total
-                else:
-                    row.pop(c2, None)
+            subtract(row, c, reduced[pivots[c]])
         if not row:
             continue
         col = min(row)
@@ -176,13 +181,7 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
         row = {c: red(v * inv) for c, v in row.items()}
         for prior in reduced:
             if col in prior:
-                lead = prior[col]
-                for c2, v2 in row.items():
-                    total = red(prior.get(c2, 0) - lead * v2)
-                    if total:
-                        prior[c2] = total
-                    else:
-                        prior.pop(c2, None)
+                subtract(prior, col, row)
         pivots[col] = len(reduced)
         reduced.append(row)
     return reduced, pivots
@@ -318,13 +317,12 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
 
     Unknowns are the basic monomials of degree d and size at most
     max_support whose two paths share a source vertex: commutation with the
-    vertex generators alone forces that diagonal shape, so the restriction
-    loses nothing.  Each edge e gives one row per output monomial of its
-    commutator, and e* gives none: if x commutes with the vertices and the
-    edges, the vertex relation at v = s(e) gives e* x = sum of e* x f f* =
-    sum of e* f x f* = r(e) x e* = x e*, over the out-edges f of v.  So the
-    edge rows have the kernel of the full system, and with it its row
-    space, reduced form and basis.  The candidates are bucketed once, by
+    vertices forces that shape, so the restriction loses nothing.  Each
+    edge e gives one row per output monomial of its commutator, and e*
+    gives none: commuting with the edges implies commuting with the edge
+    stars (``Element.is_central`` proves both facts).  So the edge rows
+    have the kernel of the full system, and with it its row space, reduced
+    form and basis.  The candidates are bucketed once, by
     source and under each edge e with m e != 0 (q's first edge, or each
     out-edge of a vertex q), and ``_generator_rows`` builds the rows one
     edge at a time.  Each one-entry row forces its column and is dropped;
@@ -368,7 +366,7 @@ def _reduced_family(elements, index: dict, algebra=None) -> tuple:
     for el in elements:
         algebra = algebra or el.algebra
         if el.algebra != algebra:
-            raise ValueError("elements live in different algebras")
+            raise AlgebraMismatchError("elements live in different algebras")
         rows.append({index.setdefault(m, len(index)): c for m, c in el._terms.items()})
     return algebra, _row_reduce(rows, algebra.field)[0] if rows else []
 

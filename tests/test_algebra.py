@@ -4,6 +4,7 @@ import random
 import re
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,13 @@ from leavitt import (
     Path,
     PrimeField,
     Rationals,
+    Specialization,
+    brute_force_center,
+    canonical_specialization,
     center_basis,
     finitary_boolean_subalgebra,
     idempotent,
+    oracle_bound,
     parse_graph,
 )
 
@@ -185,6 +190,71 @@ def test_is_central_examples(g1, g2, g3):
     assert el.is_central()
 
 
+def _reference_is_central(x):
+    """``Element.is_central`` as it stood when it multiplied by every
+    vertex, edge and edge star."""
+    alg, g = x.algebra, x.algebra.graph
+    gens = [alg.vertex(v) for v in g.vertices]
+    gens += [alg.edge(e) for e in g.edge_ids()]
+    gens += [alg.edge_star(e) for e in g.edge_ids()]
+    return all(x * gen == gen * x for gen in gens)
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2)], ids=["rat", "fp:2"])
+def test_is_central_matches_the_product_check(g1, g2, g3, graphs, corpus, field):
+    verdicts = Counter()
+
+    def check(x):
+        want = _reference_is_central(x)
+        assert x.is_central() == want, (x.algebra.graph, x)
+        verdicts[want] += 1
+
+    rng = random.Random(31)
+    for g in corpus:
+        alg = LeavittAlgebra(g, field=field)
+        for _ in range(20):
+            check(random_element(rng, alg))
+    for g in graphs.values():
+        alg = LeavittAlgebra(g, field=field)
+        for d in range(-3, 4):
+            for x in list(center_basis(alg, d).elements) + brute_force_center(alg, d, oracle_bound(g, d)):
+                check(x)
+                for e in g.edge_ids():
+                    check(x + alg.edge(e))
+    # the examples of test_is_central_examples, the non-central one included
+    a1, a2, a3 = (LeavittAlgebra(g, field=field) for g in (g1, g2, g3))
+    for x in (a1.edge("c"), a2.edge("c"), a3.vertex("v5") + a3.edge("d") * a3.edge_star("d")):
+        check(x)
+    assert verdicts[True] >= 100 and verdicts[False] >= 1000, verdicts
+
+
+def test_is_central_forms_two_products_per_edge_and_none_on_mixed_sources(monkeypatch, graphs):
+    calls = []
+    mul = Element.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counting)
+    checked = 0
+    for g in graphs.values():
+        alg = LeavittAlgebra(g)
+        for d in range(-3, 4):
+            for x in center_basis(alg, d).elements:
+                calls.clear()
+                assert x.is_central()
+                assert len(calls) == 2 * len(g.edge_ids())
+                checked += 1
+    assert checked >= 10
+    a3 = LeavittAlgebra(graphs["g3"])
+    # each has a term whose two paths start at different vertices
+    for x in (a3.edge("a"), a3.edge_star("d"), a3.one() + a3.edge("a"), a3.edge("b2")):
+        calls.clear()
+        assert not x.is_central()
+        assert calls == []
+
+
 def test_one_is_identity(graphs):
     rng = random.Random(606)
     for g in graphs.values():
@@ -229,6 +299,167 @@ def test_normal_form_order_independent(g2):
     forward = alg.element(terms)
     backward = alg.element(list(reversed(terms)))
     assert forward == backward
+
+
+# -- differential check of the normal form -----------------------------------
+#
+# The work-stack rewriter that the one-pass normal form replaced, kept
+# verbatim as the reference: both must give the same dict for every raw
+# combination.
+
+
+def _reference_normal_form(self, raw):
+    g = self.graph
+    red = self.field.reduce
+    out = {}
+    stack = list(raw.items())
+    while stack:
+        m, c = stack.pop()
+        if not c:
+            continue
+        if self.is_basic(m):
+            acc = out.get(m)
+            total = red(c if acc is None else acc + c)
+            if total:
+                out[m] = total
+            elif acc is not None:
+                del out[m]
+            continue
+        e = m.left.edges[-1]
+        v = g.source_of(e)
+        left1 = Path(m.left.source, m.left.edges[:-1], v)
+        right1 = Path(m.right.source, m.right.edges[:-1], v)
+        stack.append((Monomial(left1, right1), c))
+        for f in g.out_edges(v):
+            if f == e:
+                continue
+            t = g.target_of(f)
+            stack.append(
+                (
+                    Monomial(
+                        Path(left1.source, left1.edges + (f,), t),
+                        Path(right1.source, right1.edges + (f,), t),
+                    ),
+                    -c,
+                )
+            )
+    return out
+
+
+def _last_edge_specialization(g):
+    """The non-canonical choice: the last declared out-edge of every non-sink."""
+    return Specialization(g, {v: g.out_edges(v)[-1] for v in g.vertices if g.out_edges(v)})
+
+
+def _walk_back(rng, g, at):
+    edges = []
+    for _ in range(rng.randint(0, 3)):
+        ins = g.in_edges(at)
+        if not ins:
+            break
+        e = rng.choice(list(ins))
+        edges.insert(0, e)
+        at = g.source_of(e)
+    return edges
+
+
+def _raw_monomial(rng, alg):
+    """A random path pair with a common range, often followed by a common
+    tail of special edges (non-basic, peeled once per tail edge) or by one
+    common edge of any kind."""
+    g, spec = alg.graph, alg.specialization
+    r = rng.choice(list(g.vertices))
+    left, right = _walk_back(rng, g, r), _walk_back(rng, g, r)
+    tail = []
+    roll = rng.random()
+    if roll < 0.4:
+        for _ in range(rng.randint(1, 4)):
+            if not g.out_edges(r):
+                break
+            tail.append(spec[r])
+            r = g.target_of(spec[r])
+    elif roll < 0.6 and g.out_edges(r):
+        tail.append(rng.choice(list(g.out_edges(r))))
+    # a path with no edges is the vertex r, and then there is no tail
+    return Monomial(*(g.path(g.source_of(es[0]) if es else r, es) for es in (left + tail, right + tail)))
+
+
+def _peels(alg, m):
+    """How many times the vertex relation peels m: the length of the common
+    tail of special edges of its two paths."""
+    a, b, k = m.left.edges, m.right.edges, 0
+    while k < min(len(a), len(b)) and a[-1 - k] == b[-1 - k] and alg.specialization.is_special(a[-1 - k]):
+        k += 1
+    return k
+
+
+def _raw_combination(rng, alg, scalars):
+    """Raw terms summed into one dict, unreduced: random monomials, repeats,
+    a pair that cancels outright, and a non-basic monomial together with
+    minus its vertex-relation expansion, which normalizes to zero."""
+    g, raw = alg.graph, {}
+
+    def put(m, c):
+        raw[m] = raw.get(m, 0) + c
+
+    for _ in range(rng.randint(1, 8)):
+        m, c = _raw_monomial(rng, alg), rng.choice(scalars)
+        put(m, c)
+        roll = rng.random()
+        if roll < 0.2:
+            put(m, rng.choice(scalars))  # a repeat
+        elif roll < 0.3:
+            put(m, -c)  # cancels
+        elif roll < 0.45 and not alg.is_basic(m):
+            (u, a, _), (w, b, _) = m
+            e, v = a[-1], g.source_of(a[-1])
+            put(Monomial(Path(u, a[:-1], v), Path(w, b[:-1], v)), -c)
+            for f in g.out_edges(v):
+                if f != e:
+                    t = g.target_of(f)
+                    put(Monomial(Path(u, a[:-1] + (f,), t), Path(w, b[:-1] + (f,), t)), c)
+    return raw
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2)], ids=["rat", "fp:2"])
+def test_normal_form_matches_the_reference_on_raw_combinations(corpus, field):
+    scalars = [0, 1, -1, 2, 3, -5] + ([Fraction(1, 2), Fraction(-3, 4)] if field == Rationals() else [7, 11])
+    rng = random.Random(1019)
+    seen = Counter()
+    for g in corpus:
+        for spec in (canonical_specialization(g), _last_edge_specialization(g)):
+            alg = LeavittAlgebra(g, spec, field)
+            for _ in range(25):
+                raw = _raw_combination(rng, alg, scalars)
+                want = _reference_normal_form(alg, raw)
+                assert alg._normal_form(raw) == want, (g, spec, raw)
+                peels = [_peels(alg, m) for m in raw]
+                seen["non-basic"] += max(peels) >= 1
+                seen["cascade"] += max(peels) >= 2
+                seen["zero"] += not want
+    assert seen["non-basic"] >= 3000 and seen["cascade"] >= 2000 and seen["zero"] >= 200, seen
+
+
+def test_normal_form_peels_a_cascade_in_one_pass():
+    # feeders f1 and f2 into w = c0, then a chain of n special edges e_i, each
+    # of whose sources has one other out-edge g_i into a sink: [f1 e1..en][f2
+    # e1..en] peels n times, to [f1][f2] minus [f1 e1..e(i-1) g_i][f2 e1..e(i-1) g_i]
+    n = 500
+    lines = ["vertex x1", "vertex x2"] + [f"vertex c{i}" for i in range(n + 1)]
+    lines += [f"vertex s{i}" for i in range(1, n + 1)] + ["edge f1 x1 c0", "edge f2 x2 c0"]
+    for i in range(1, n + 1):
+        lines += [f"edge e{i} c{i - 1} c{i}", f"edge g{i} c{i - 1} s{i}"]
+    g = parse_graph("\n".join(lines) + "\n")
+    alg = LeavittAlgebra(g)
+    chain = tuple(f"e{i}" for i in range(1, n + 1))
+    raw = {Monomial(g.path("x1", ("f1",) + chain), g.path("x2", ("f2",) + chain)): 3}
+    want = {Monomial(g.path("x1", ["f1"]), g.path("x2", ["f2"])): 3}
+    for i in range(1, n + 1):
+        a = chain[: i - 1] + (f"g{i}",)
+        want[Monomial(g.path("x1", ("f1",) + a), g.path("x2", ("f2",) + a))] = -3
+    got = alg._normal_form(raw)
+    assert len(got) == n + 1
+    assert got == want == _reference_normal_form(alg, raw)
 
 
 def test_closed_path_projections_detect_ne_cycles(graphs):

@@ -8,6 +8,7 @@ from functools import reduce
 import pytest
 
 from leavitt import (
+    AlgebraMismatchError,
     Element,
     InfiniteArrivals,
     LeavittAlgebra,
@@ -955,11 +956,13 @@ def test_spans_equal_reduces_each_family_once(monkeypatch, g3):
 def test_span_helpers_reject_mixed_algebras(g3):
     one, other = LeavittAlgebra(g3), LeavittAlgebra(g3, field=PrimeField(97))
     x, y = one.vertex("v1"), other.vertex("v1")
-    with pytest.raises(ValueError, match="different algebras"):
+    # the error Element arithmetic raises, a ValueError, so callers are unaffected
+    assert issubclass(AlgebraMismatchError, ValueError)
+    with pytest.raises(AlgebraMismatchError, match="different algebras"):
         span_dimension([x, y])
-    with pytest.raises(ValueError, match="different algebras"):
+    with pytest.raises(AlgebraMismatchError, match="different algebras"):
         spans_equal([x], [y])
-    with pytest.raises(ValueError, match="different algebras"):
+    with pytest.raises(AlgebraMismatchError, match="different algebras"):
         spans_equal([x, y], [x])
     assert span_dimension([]) == 0
     assert spans_equal([], []) and spans_equal([], [y - y]) and spans_equal([x - x], [])

@@ -1,4 +1,5 @@
 import leavitt
+from leavitt import Element, LeavittAlgebra
 
 # the package's exports before the unused graph API was removed
 EARLIER_EXPORTS = {
@@ -31,3 +32,22 @@ def test_exports_are_the_earlier_ones_minus_the_removed_graph_api():
     assert set(leavitt.__all__) == EARLIER_EXPORTS - REMOVED
     for name in leavitt.__all__:
         assert getattr(leavitt, name) is not None
+
+
+# the public methods of the two algebra classes before LeavittAlgebra.generators
+# was removed: its one caller, Element.is_central, now checks the term sources
+# and forms only the edge products
+EARLIER_METHODS = {
+    Element: {"is_zero", "terms", "degrees", "star", "degree_component", "is_central"},
+    LeavittAlgebra: {
+        "zero", "one", "vertex", "edge", "edge_star", "path_element", "monomial", "element",
+        "generators", "is_basic", "monomial_key", "parse_element",
+    },
+}
+REMOVED_METHODS = {LeavittAlgebra: {"generators"}}
+
+
+def test_public_methods_are_the_earlier_ones_minus_the_removed():
+    for cls, earlier in EARLIER_METHODS.items():
+        public = {name for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))}
+        assert public == earlier - REMOVED_METHODS.get(cls, set()), cls.__name__
