@@ -388,13 +388,10 @@ class LeavittAlgebra:
         )
 
     def vertex(self, v: str) -> Element:
-        p = self.graph.vertex_path(v)
-        return Element(self, {Monomial(p, p): self.field.one})
+        return self.path_element(self.graph.vertex_path(v))
 
     def edge(self, e: str) -> Element:
-        g = self.graph
-        m = Monomial(g.edge_path(e), g.vertex_path(g.target_of(e)))
-        return Element(self, {m: self.field.one})
+        return self.path_element(self.graph.edge_path(e))
 
     def edge_star(self, e: str) -> Element:
         return self.edge(e).star()

@@ -72,11 +72,6 @@ class CentralBasis(_Value):
 
     __slots__ = __match_args__ = ("degree", "elements", "provenance")
 
-    def __init__(self, degree: int, elements: tuple, provenance: tuple):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "provenance", provenance)
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -152,11 +147,22 @@ def oracle_bound(graph: Graph, d: int) -> int:
 # -- linear algebra over the active field -----------------------------------
 
 
-def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
-    """Sparse reduced row echelon form.  Returns (rows, pivot column -> row index)."""
+def _row_reduce(rows: list[dict], field) -> dict:
+    """The reduced row echelon form of the span of ``rows``, as
+    {pivot column: row}, with the columns in their int order.
+
+    It is the unique one.  Each incoming row is cleared of the stored pivot
+    columns, which adds none: no stored row has an entry in another's pivot
+    column.  A row left nonzero is scaled so that its least column, its
+    pivot, has entry 1, and that column is cleared from the stored rows,
+    which only adds columns above their own pivots.  So each stored row's
+    least column is its pivot, with entry 1, and no other row has an entry
+    in a pivot column: the map is the unique reduced row echelon form of the
+    row space for the shared column order, whatever the rows' order, scale
+    or spanning set.
+    """
     red = field.reduce
-    pivots: dict = {}
-    reduced: list[dict] = []
+    reduced: dict = {}
 
     def subtract(target: dict, col, row: dict) -> None:
         """target -= target[col] * row, for a row whose pivot is col."""
@@ -170,21 +176,18 @@ def _row_reduce(rows: list[dict], field) -> tuple[list[dict], dict]:
 
     for row in rows:
         row = dict(row)
-        # stored pivot rows never contain each other's pivot columns, so one
-        # pass over the pivot columns present in the incoming row clears all
-        for c in [c for c in row if c in pivots]:
-            subtract(row, c, reduced[pivots[c]])
+        for c in [c for c in row if c in reduced]:
+            subtract(row, c, reduced[c])
         if not row:
             continue
         col = min(row)
         inv = field.inverse(row[col])
         row = {c: red(v * inv) for c, v in row.items()}
-        for prior in reduced:
+        for prior in reduced.values():
             if col in prior:
                 subtract(prior, col, row)
-        pivots[col] = len(reduced)
-        reduced.append(row)
-    return reduced, pivots
+        reduced[col] = row
+    return reduced
 
 
 def _nullspace(rows: list[dict], ncols: int, field, forced=()) -> list[dict]:
@@ -201,7 +204,8 @@ def _nullspace(rows: list[dict], ncols: int, field, forced=()) -> list[dict]:
     forced column's row in the unique reduced row echelon form is its unit
     vector, so the other rows of that form are the form of the rest, and
     every basis vector is unchanged.  Every column of a reduced row other
-    than its pivot is free, so the basis is read off the rows' own entries.
+    than its pivot is free, so the basis is read off the entries of the
+    {pivot column: row} map that ``_row_reduce`` returns.
     """
     forced = set(forced)
     while True:
@@ -216,12 +220,10 @@ def _nullspace(rows: list[dict], ncols: int, field, forced=()) -> list[dict]:
             break
         forced |= newly
         rows = rest
-    reduced, pivots = _row_reduce(
-        [{c: v for c, v in row.items() if c not in forced} for row in rest], field
-    )
-    basis = {c: {c: field.one} for c in range(ncols) if c not in pivots and c not in forced}
-    for col, idx in pivots.items():
-        for f, coeff in reduced[idx].items():
+    reduced = _row_reduce([{c: v for c, v in row.items() if c not in forced} for row in rest], field)
+    basis = {c: {c: field.one} for c in range(ncols) if c not in reduced and c not in forced}
+    for col, row in reduced.items():
+        for f, coeff in row.items():
             if f != col:
                 basis[f][col] = field.reduce(-coeff)
     return list(basis.values())
@@ -359,28 +361,29 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     return elements
 
 
-def _reduced_family(elements, index: dict, algebra=None) -> tuple:
-    """(algebra, reduced rows) of a family of elements of one algebra, each
-    monomial numbered by ``index``, which numbers new ones as they come."""
-    rows = []
-    for el in elements:
-        algebra = algebra or el.algebra
-        if el.algebra != algebra:
-            raise AlgebraMismatchError("elements live in different algebras")
-        rows.append({index.setdefault(m, len(index)): c for m, c in el._terms.items()})
-    return algebra, _row_reduce(rows, algebra.field)[0] if rows else []
+def _reduced_forms(*families) -> list[dict]:
+    """The reduced form of each family of elements of one algebra, with the
+    monomials of all the families numbered in one index, so that two
+    families span the same subspace exactly when their forms are equal."""
+    algebra, index, systems = None, {}, []
+    for family in families:
+        systems.append(rows := [])
+        for el in family:
+            algebra = algebra or el.algebra
+            if el.algebra != algebra:
+                raise AlgebraMismatchError("elements live in different algebras")
+            rows.append({index.setdefault(m, len(index)): c for m, c in el._terms.items()})
+    return [_row_reduce(rows, algebra.field) if rows else {} for rows in systems]
 
 
 def span_dimension(elements) -> int:
     """Rank of a family of elements of one algebra."""
-    return len(_reduced_family(elements, {})[1])
+    return len(_reduced_forms(elements)[0])
 
 
 def spans_equal(first, second) -> bool:
     """Whether two families of elements of one algebra span the same
-    subspace: both are reduced once over one monomial index, and the rank of
-    their union is that of the two reduced families stacked."""
-    index: dict[Monomial, int] = {}
-    algebra, one = _reduced_family(first, index)
-    algebra, two = _reduced_family(second, index, algebra)
-    return len(one) == len(two) and (not one or len(_row_reduce(one + two, algebra.field)[0]) == len(one))
+    subspace: each is reduced once over one monomial index, and the two
+    reduced forms are compared, with no elimination of their union."""
+    one, two = _reduced_forms(first, second)
+    return one == two

@@ -83,11 +83,22 @@ class Path(namedtuple("Path", ("source", "edges", "target"))):
 
 class _Value:
     """Base of the immutable value types.  A subclass names its fields in
-    ``__slots__`` and ``__match_args__`` and stores them with
-    ``object.__setattr__``.  As in a frozen dataclass, an instance equals only
-    an instance of its own type with equal fields and hashes as their tuple."""
+    ``__slots__`` and ``__match_args__``; the one constructor binds its
+    arguments to them, by position or keyword, and raises ``TypeError``
+    naming the type and its fields when one is missing, extra, unknown or
+    given twice.  As in a frozen dataclass, an instance equals only an
+    instance of its own type with equal fields and hashes as their tuple."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs:
+            args += tuple([kwargs.pop(name) for name in names[len(args) :] if name in kwargs])
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {names}, each once, by position or keyword")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):  # the type and the fields, which pickle and copy rebuild from
         return self.__class__, tuple([getattr(self, name) for name in self.__match_args__])
@@ -113,10 +124,6 @@ class Cycle(_Value):
     rotation that starts at the smallest vertex."""
 
     __slots__ = __match_args__ = ("path", "sources")
-
-    def __init__(self, path: Path, sources: tuple[str, ...]):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "sources", sources)
 
     @property
     def edges(self) -> tuple[str, ...]:

@@ -64,9 +64,6 @@ class FiniteArrivals(_Value):
 
     __slots__ = __match_args__ = ("paths",)
 
-    def __init__(self, paths: tuple[Path, ...]):
-        object.__setattr__(self, "paths", paths)
-
     def max_length(self) -> int:
         return max((p.length for p in self.paths), default=0)
 
@@ -75,10 +72,6 @@ class InfiniteArrivals(_Value):
     """Marker that the arrival-path set is infinite, with a pumping witness."""
 
     __slots__ = __match_args__ = ("witness", "connector")
-
-    def __init__(self, witness: Cycle, connector: Path):
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "connector", connector)
 
 
 def _as_vertex_set(g: Graph, ws: Iterable[str]) -> frozenset[str]:
@@ -397,14 +390,11 @@ def finitary_boolean_subalgebra(g: Graph) -> list[frozenset[str]]:
 
 
 class ClassSummand(_Value):
-    """One equivalence class of minimal sets with its support and kind."""
+    """One equivalence class of minimal sets with its support and kind:
+    ``cycle`` is the covering exit-free cycle when the summand is Laurent,
+    else None."""
 
     __slots__ = __match_args__ = ("members", "support", "cycle")
-
-    def __init__(self, members: tuple[int, ...], support: frozenset[str], cycle: Cycle | None):
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "cycle", cycle)  # the covering exit-free cycle when the summand is Laurent
 
     @property
     def is_laurent(self) -> bool:
@@ -419,11 +409,6 @@ class CenterReport(_Value):
     """Structure of the center: one summand per equivalence class."""
 
     __slots__ = __match_args__ = ("graph", "minimal_sets", "summands")
-
-    def __init__(self, graph: Graph, minimal_sets: tuple[frozenset[str], ...], summands: tuple[ClassSummand, ...]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "minimal_sets", minimal_sets)
-        object.__setattr__(self, "summands", summands)
 
     @property
     def laurent_count(self) -> int:

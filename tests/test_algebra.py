@@ -20,6 +20,8 @@ from leavitt import (
     PrimeField,
     Rationals,
     Specialization,
+    UnknownEdgeError,
+    UnknownVertexError,
     brute_force_center,
     canonical_specialization,
     center_basis,
@@ -760,6 +762,26 @@ def test_checked_constructors_compare_the_stored_target(g3):
     a = g3.path("v1", ["a"])
     m = alg.monomial(a, g3.vertex_path("v2"))
     assert alg.element([(m, 1)]) == alg.path_element(a) == alg.parse_element("[a][@v2]")
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2)], ids=lambda f: f.name)
+def test_generators_are_their_one_monomial_elements(graphs, field):
+    for g in graphs.values():
+        alg = LeavittAlgebra(g, field=field)
+        for v in g.vertices:
+            at_v = Path(v, (), v)
+            assert alg.vertex(v) == Element(alg, {Monomial(at_v, at_v): field.one})
+        for e, s, t in g.edges:
+            edge, at_t = Path(s, (e,), t), Path(t, (), t)
+            assert alg.edge(e) == Element(alg, {Monomial(edge, at_t): field.one})
+            assert alg.edge_star(e) == Element(alg, {Monomial(at_t, edge): field.one})
+        with pytest.raises(UnknownVertexError, match="unknown vertex 'nowhere'"):
+            alg.vertex("nowhere")
+        for build in (alg.edge, alg.edge_star):
+            with pytest.raises(UnknownEdgeError, match="unknown edge 'nowhere'"):
+                build("nowhere")
+            with pytest.raises(UnknownEdgeError):
+                build(g.vertices[0])
 
 
 def test_str_zero_and_signs(g3):

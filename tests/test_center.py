@@ -36,7 +36,7 @@ import leavitt.center
 import leavitt.hereditary
 from leavitt.center import _candidates, _generator_rows, _nullspace, _row_reduce
 
-from oracles import hereditary_subsets, random_graph
+from oracles import hereditary_subsets, random_element, random_graph
 
 
 def fs(*names):
@@ -419,12 +419,12 @@ def _plain_nullspace(rows, ncols, field):
     """Null space by eliminating the whole system, with no columns set aside:
     the unique reduced row echelon form, then one basis vector per free
     column."""
-    reduced, pivots = _row_reduce(rows, field)
+    reduced = _row_reduce(rows, field)
     basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
+    for f in (c for c in range(ncols) if c not in reduced):
         vec = {f: field.one}
-        for col, idx in pivots.items():
-            coeff = reduced[idx].get(f)
+        for col, row in reduced.items():
+            coeff = row.get(f)
             if coeff:
                 vec[col] = field.reduce(-coeff)
         basis.append(vec)
@@ -804,6 +804,11 @@ def test_oracle_agrees_with_structure_on_fixtures(graphs, chain_loop, fork_loops
             basis = center_basis(alg, d)
             assert len(oracle) == len(basis)
             assert spans_equal(list(basis.elements), oracle)
+            # the reduced forms decide as the earlier rank rule does, also
+            # on families with an element left out
+            elements = list(basis.elements)
+            for one, two in ((oracle, elements), (elements, oracle), (oracle, elements[1:]), (oracle[:-1], elements)):
+                assert spans_equal(one, two) == _reference_spans_equal(one, two), (g, d)
 
 
 def test_oracle_agrees_over_prime_field(g3):
@@ -938,8 +943,8 @@ def test_spans_equal_tells_equal_ranks_apart():
 
 
 def test_spans_equal_reduces_each_family_once(monkeypatch, g3):
-    # one reduction per family, and the union from the two reduced families
-    # stacked, so the third reduction sees rank-many rows, not the raw ones
+    # one reduction per family and none of their union: the two reduced
+    # forms are compared as they are
     alg = LeavittAlgebra(g3)
     e1 = idempotent(alg, fs("v2", "v3", "v4"))
     e2 = idempotent(alg, fs("v5"))
@@ -947,10 +952,96 @@ def test_spans_equal_reduces_each_family_once(monkeypatch, g3):
     original = leavitt.center._row_reduce
     monkeypatch.setattr(leavitt.center, "_row_reduce", lambda rows, field: sizes.append(len(rows)) or original(rows, field))
     assert spans_equal([e1, e2, e1 + e2, e1 - e2], [e1 + e2, e2, alg.zero()])
-    assert sizes == [4, 3, 4]
+    assert sizes == [4, 3]
     sizes.clear()
     assert not spans_equal([e1, e1 + e1], [e1, e2])
     assert sizes == [2, 2]
+
+
+def _reference_reduced_family(elements, index, algebra=None):
+    """The earlier ``_reduced_family``: (algebra, reduced rows) of a family of
+    elements of one algebra, each monomial numbered by ``index``, which
+    numbers new ones as they come."""
+    rows = []
+    for el in elements:
+        algebra = algebra or el.algebra
+        if el.algebra != algebra:
+            raise AlgebraMismatchError("elements live in different algebras")
+        rows.append({index.setdefault(m, len(index)): c for m, c in el._terms.items()})
+    return algebra, list(_row_reduce(rows, algebra.field).values()) if rows else []
+
+
+def _reference_spans_equal(first, second):
+    """The earlier rule, kept as the reference: both families are reduced once
+    over one monomial index, and the rank of their union is that of the two
+    reduced families stacked."""
+    index = {}
+    algebra, one = _reference_reduced_family(first, index)
+    algebra, two = _reference_reduced_family(second, index, algebra)
+    return len(one) == len(two) and (not one or len(_row_reduce(one + two, algebra.field)) == len(one))
+
+
+def _linear_combination(field, *terms):
+    """The sum of c * row over the (c, row) pairs, with no zero entry."""
+    total = {}
+    for c, row in terms:
+        for col, v in row.items():
+            total[col] = field.reduce(total.get(col, 0) + c * v)
+    return {col: v for col, v in total.items() if v}
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(97)], ids=lambda f: f.name)
+def test_row_reduce_returns_the_unique_reduced_form(field):
+    # each key is its row's least column, with entry 1, no other row has an
+    # entry in a key column, and every spanning set of one row space gives
+    # the same map
+    rng = random.Random(27)
+    scalars = [Fraction(-3, 2), -1, 2, Fraction(5, 3)] if isinstance(field, Rationals) else [1, 5, 96]
+    for _ in range(300):
+        ncols = rng.randint(1, 10)
+        rows = [
+            {c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols)))}
+            for _ in range(rng.randint(0, 8))
+        ]
+        rows += [dict(rng.choice(rows)) for _ in range(rng.randint(0, 2))] if rows else []
+        form = _row_reduce(rows, field)
+        for col, row in form.items():
+            assert min(row) == col and row[col] == 1, (rows, form)
+            assert all(v and field.reduce(v) == v for v in row.values()), (rows, form)
+            assert not any(col in other for key, other in form.items() if key != col), (rows, form)
+        assert _row_reduce(rows + list(form.values()), field) == form, rows
+        shuffled = rng.sample(rows, len(rows))
+        scaled = [_linear_combination(field, (rng.choice(scalars), row)) for row in rows]
+        sums = rows[:1] + [_linear_combination(field, (1, a), (1, b)) for a, b in zip(rows, rows[1:])]
+        for same_span in (shuffled, scaled, sums):
+            assert _row_reduce(same_span, field) == form, (rows, same_span)
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(97)], ids=lambda f: f.name)
+def test_spans_equal_matches_the_reference_rule(field, corpus):
+    # families with zero elements, repeats, scalar multiples and dependent
+    # sums, some with an element dropped or a random one added
+    rng = random.Random(2027)
+    outcomes = Counter()
+    for g in corpus:
+        alg = LeavittAlgebra(g, field=field)
+        for _ in range(4):
+            base = [random_element(rng, alg) for _ in range(rng.randint(0, 3))]
+            first = base + [rng.choice(base + [alg.zero()]) for _ in range(rng.randint(0, 2))]
+            second = [rng.choice([-1, 3]) * x for x in base] + [x + y for x, y in zip(base, base[1:])]
+            second.append(alg.zero())
+            rng.shuffle(second)
+            change = rng.randrange(3)
+            if change == 1:
+                second.pop(rng.randrange(len(second)))
+            elif change == 2:
+                second.append(random_element(rng, alg))
+            for one, two in ((first, second), (second, first)):
+                expected = _reference_spans_equal(one, two)
+                assert spans_equal(one, two) == expected, (g, one, two)
+                outcomes[expected] += 1
+            assert span_dimension(first) == len(_reference_reduced_family(first, {})[1])
+    assert min(outcomes[True], outcomes[False]) > 100, outcomes
 
 
 def test_span_helpers_reject_mixed_algebras(g3):

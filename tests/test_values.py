@@ -2,8 +2,9 @@
 
 Each type is equal only to an instance of the same type with equal fields,
 hashes as the tuple of its fields, refuses assignment and deletion, has a
-``Name(field=value, ...)`` repr, supports keyword construction and
-``match`` by position, and survives pickle, copy and deepcopy.
+``Name(field=value, ...)`` repr, takes its fields by position or keyword,
+each exactly once, supports ``match`` by position, and survives pickle,
+copy and deepcopy.
 """
 
 import copy
@@ -55,10 +56,38 @@ def test_equality_and_hash_follow_the_fields(cls, names, values, other):
     a, b = cls(*values), cls(**dict(zip(names, values)))
     assert a == b and not (a != b)
     assert hash(a) == hash(b) == hash(values)
+    # keywords in any order, and positional arguments followed by keywords
+    assert cls(**dict(reversed(list(zip(names, values))))) == a
+    for k in range(len(names) + 1):
+        assert cls(*values[:k], **dict(zip(names[k:], values[k:]))) == a
     assert a != values and values != a
     assert a != object()
     if other is not None:
         assert a != cls(*other)
+
+
+@pytest.mark.parametrize("cls, names, values, other", CASES, ids=IDS)
+def test_constructor_takes_each_field_once(cls, names, values, other):
+    bad = [
+        lambda: cls(*values, None),  # one positional argument too many
+        lambda: cls(**dict(zip(names, values)), extra=None),  # an unknown keyword
+    ]
+    if names:
+        bad += [
+            lambda: cls(*values[:-1]),  # the last field missing
+            lambda: cls(**dict(zip(names[1:], values[1:]))),  # the first field missing
+            lambda: cls(*values, **{names[0]: values[0]}),  # a field given both ways
+        ]
+    for build in bad:
+        with pytest.raises(TypeError, match=cls.__name__):
+            build()
+
+
+def test_rationals_take_no_fields():
+    assert Rationals() == Rationals(**{})
+    for build in (lambda: Rationals(7), lambda: Rationals(p=7)):
+        with pytest.raises(TypeError, match=r"Rationals takes the fields \(\)"):
+            build()
 
 
 @pytest.mark.parametrize("cls, names, values, other", CASES, ids=IDS)
