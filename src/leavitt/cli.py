@@ -4,13 +4,16 @@ Four subcommands over a graph file: ``analyze`` (structure of the center),
 ``center`` (explicit basis of one graded piece), ``verify`` (brute-force
 cross-check of the constructed center), ``idempotents`` (the Boolean algebra
 of central idempotents).  Output is plain text, or a stable key/value tree
-with ``--json``.  Exit codes: 0 success, 1 failed check, 2 bad input.
+with ``--json``.  Exit codes: 0 success, 1 failed check, 2 bad input, 141
+when the reader closes stdout early (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 
 from .graph import Graph, GraphParseError, parse_graph
@@ -26,6 +29,12 @@ from .center import (
 )
 
 __all__ = ["main", "build_parser"]
+
+
+def _count_arg(text: str) -> int:
+    if text.isascii() and text.isdecimal():  # no sign, so never negative
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, not {text!r}")
 
 
 def _field_arg(text: str):
@@ -67,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check the center against a brute-force solver")
     common(p)
-    p.add_argument("--max-degree", type=int, default=3, help="check all |d| up to this (default 3)")
+    p.add_argument("--max-degree", type=_count_arg, default=3, help="check all |d| up to this (default 3)")
     p.add_argument(
         "--max-len",
-        type=int,
+        type=_count_arg,
         default=None,
         help="monomial size cap for the solver (default: derived bound)",
     )
@@ -187,12 +196,6 @@ def _cmd_center(args, g: Graph) -> int:
 
 
 def _cmd_verify(args, g: Graph) -> int:
-    if args.max_degree < 0:
-        print("error: --max-degree must be >= 0", file=sys.stderr)
-        return 2
-    if args.max_len is not None and args.max_len < 0:
-        print("error: --max-len must be >= 0", file=sys.stderr)
-        return 2
     algebra = LeavittAlgebra(g, field=args.field)
     # oracle_bound(g, d) is oracle_bound(g, 0) + |d|: search the arrivals once
     base = oracle_bound(g, 0) if args.max_len is None else None
@@ -339,7 +342,17 @@ def main(argv=None) -> int:
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _HANDLERS[args.command](args, g)
+    try:
+        code = _HANDLERS[args.command](args, g)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at the null device, so that the
+        # interpreter's own flush at exit finds no broken pipe; a stream with
+        # no descriptor raises io.UnsupportedOperation, a ValueError
+        with open(os.devnull, "wb") as null, contextlib.suppress(ValueError):
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -154,42 +154,42 @@ class Graph:
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
-        vertices = tuple(vertices)
         edges = tuple((e, s, t) for e, s, t in edges)
-        declared: set[str] = set()
+        vindex: dict[str, int] = {}
         for v in vertices:
             _check_ident(v)
-            if v in declared:
+            if v in vindex:
                 raise DuplicateIdError(f"duplicate vertex id {v!r}")
-            declared.add(v)
-        seen: set[str] = set()
+            vindex[v] = len(vindex)
+        eindex: dict[str, int] = {}
         for e, s, t in edges:
             _check_ident(e)
-            if e in seen:
+            if e in eindex:
                 raise DuplicateIdError(f"duplicate edge id {e!r}")
-            seen.add(e)
+            eindex[e] = len(eindex)
             for v in (s, t):
-                if v not in declared:
+                if v not in vindex:
                     raise UnknownVertexError(f"unknown vertex {v!r}")
-        self._init(vertices, edges)
+        self._init(vindex, eindex, edges)
 
-    def _init(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str, str], ...]) -> None:
-        """Set up a graph whose ids passed the checks of ``__init__`` or ``parse_graph``."""
-        self._vertices = vertices
+    def _init(self, vindex: dict[str, int], eindex: dict[str, int], edges: tuple[tuple[str, str, str], ...]) -> None:
+        """Set up a graph from the tables that the checks of ``__init__`` or
+        ``parse_graph`` fill: each vertex and each edge id mapped to its
+        declaration index, and the edges in declaration order."""
+        self._vertices = tuple(vindex)
         self._edges = edges
-        self._vindex = {v: i for i, v in enumerate(vertices)}
-        self._eindex = {e: i for i, (e, _, _) in enumerate(edges)}
+        self._vindex = vindex
+        self._eindex = eindex
         self._src = {e: s for e, s, _ in edges}
         self._dst = {e: t for e, _, t in edges}
-        out: dict[str, list[str]] = {v: [] for v in vertices}
-        inc: dict[str, list[str]] = {v: [] for v in vertices}
+        out: dict[str, list[str]] = {v: [] for v in vindex}
+        inc: dict[str, list[str]] = {v: [] for v in vindex}
         for e, s, t in edges:
             out[s].append(e)
             inc[t].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
-        self._edge_ids = tuple(self._eindex)
-        self._hash = hash((vertices, edges))
+        self._edge_ids = tuple(eindex)
         self._scc_index = None  # built by the hereditary module on first use
         self._path_layers = []  # grown by the center module's oracle
 
@@ -311,7 +311,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._vertices, self._edges))
 
     def __repr__(self) -> str:
         return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
@@ -369,9 +369,8 @@ def parse_graph(text: str) -> Graph:
     The rules are those of the ``Graph`` constructor, checked here once each,
     so the graph is built without the constructor's second pass.
     """
-    vertices: list[str] = []
-    vset: set[str] = set()
-    eset: set[str] = set()
+    vindex: dict[str, int] = {}  # id -> declaration index, as the graph keeps it
+    eindex: dict[str, int] = {}
     edges: list[tuple[str, str, str]] = []
     pending: list[tuple[int, str]] = []  # endpoints not declared before their edge
     for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
@@ -384,30 +383,29 @@ def parse_graph(text: str) -> Graph:
                 raise GraphSyntaxError("expected 'vertex <id>'", lineno)
             vid = tokens[1]
             _check_ident(vid, lineno)
-            if vid in vset:
+            if vid in vindex:
                 raise DuplicateIdError(f"duplicate vertex id {vid!r}", lineno)
-            vset.add(vid)
-            vertices.append(vid)
+            vindex[vid] = len(vindex)
         elif tokens[0] == "edge":
             if len(tokens) != 4:
                 raise GraphSyntaxError("expected 'edge <id> <src-vertex> <dst-vertex>'", lineno)
             eid, src, dst = tokens[1:]
             _check_ident(eid, lineno)
             for v in (src, dst):
-                if v not in vset:  # a declared vertex passed this check on its own line
+                if v not in vindex:  # a declared vertex passed this check on its own line
                     _check_ident(v, lineno)
                     pending.append((lineno, v))
-            if eid in eset:
+            if eid in eindex:
                 raise DuplicateIdError(f"duplicate edge id {eid!r}", lineno)
-            eset.add(eid)
+            eindex[eid] = len(eindex)
             edges.append((eid, src, dst))
         else:
             raise GraphSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
     for lineno, v in pending:
-        if v not in vset:
+        if v not in vindex:
             raise UnknownVertexError(f"unknown vertex {v!r}", lineno)
     g = Graph.__new__(Graph)
-    g._init(tuple(vertices), tuple(edges))
+    g._init(vindex, eindex, tuple(edges))
     return g
 
 

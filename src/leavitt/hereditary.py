@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .graph import Cycle, Graph, GraphError, Path, UnknownVertexError, _Value
+from .graph import Cycle, Graph, GraphError, Path, _Value
 
 __all__ = [
     "NotHereditaryError",
@@ -74,15 +74,14 @@ class InfiniteArrivals(_Value):
     __slots__ = __match_args__ = ("witness", "connector")
 
 
-def _as_vertex_set(g: Graph, ws: Iterable[str]) -> frozenset[str]:
+def _as_vertex_set(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], int]:
+    """The subset as a frozenset and as an int bitset, bit i for the vertex
+    declared i-th; UnknownVertexError names the first member ``g`` lacks."""
     if isinstance(ws, str):
         # a string is an iterable of its characters, never a vertex set
         raise TypeError(f"expected a collection of vertex ids, not the string {ws!r}")
     W = frozenset(ws)
-    for v in W:
-        if not g.has_vertex(v):
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-    return W
+    return W, sum(1 << g.vertex_index(v) for v in W)
 
 
 def is_hereditary(g: Graph, ws: Iterable[str]) -> bool:
@@ -94,19 +93,16 @@ def is_hereditary(g: Graph, ws: Iterable[str]) -> bool:
     return True
 
 
-def _require_hereditary(g: Graph, ws: Iterable[str]) -> frozenset[str]:
-    W = _as_vertex_set(g, ws)
+def _require_hereditary(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], int]:
+    """``_as_vertex_set`` of a subset that no edge leaves; NotHereditaryError
+    names the first leaving edge found."""
+    W, mask = _as_vertex_set(g, ws)
     for v in W:
         for e in g.out_edges(v):
             t = g.target_of(e)
             if t not in W:
                 raise NotHereditaryError(W, f"not hereditary: edge {e!r} leaves the subset at {v!r} -> {t!r}")
-    return W
-
-
-def _mask(g: Graph, ws: Iterable[str]) -> int:
-    """Vertex set as an int bitset: bit i is the vertex declared i-th."""
-    return sum(1 << g.vertex_index(v) for v in ws)
+    return W, mask
 
 
 def _bit_indexes(mask: int) -> tuple[int, ...]:
@@ -126,7 +122,7 @@ def _members(g: Graph, mask: int) -> frozenset[str]:
 
 def perp(g: Graph, ws: Iterable[str]) -> frozenset[str]:
     """Vertices with no path into the subset (the annihilator complement)."""
-    W = _as_vertex_set(g, ws)
+    W, _ = _as_vertex_set(g, ws)
     return _members(g, ~_index(g).reach(W))
 
 
@@ -135,9 +131,9 @@ def is_finitary(g: Graph, ws: Iterable[str]) -> bool:
 
     Equivalent to: no cycle disjoint from the subset reaches it.
     """
-    W = _require_hereditary(g, ws)
+    W, mask = _require_hereditary(g, ws)
     idx = _index(g)
-    return not idx.reach(W) & ~_mask(g, W) & idx.cyclic
+    return not idx.reach(W) & ~mask & idx.cyclic
 
 
 def _shortest_path(g: Graph, start: str, goal: Iterable[str]) -> Path:
@@ -165,9 +161,9 @@ def _shortest_path(g: Graph, start: str, goal: Iterable[str]) -> Path:
 def _arrival_region(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], list[str]]:
     """The hereditary subset W and the vertices outside it that reach it,
     successors first; NotFinitaryError when a cycle lies among the latter."""
-    W = _require_hereditary(g, ws)
+    W, mask = _require_hereditary(g, ws)
     idx = _index(g)
-    outside = idx.reach(W) & ~_mask(g, W)
+    outside = idx.reach(W) & ~mask
     looping = outside & idx.cyclic
     if looping:
         # shortest cycle through the first-declared cycle vertex outside W
@@ -252,12 +248,13 @@ class _Index:
     """The SCCs of one graph and the facts this module derives from them.
 
     SCC ``i`` is the ``i``-th in Kosaraju's topological order, before every
-    SCC it reaches.  Vertex sets are bitsets (see ``_mask``), and so are sets
-    of minimal-set indexes.  One pass in reverse topological order gives each
-    SCC its mask, the minimal sets it reaches: the union of its successors'
-    masks.  An SCC's vertices reach exactly the minimal sets in its mask, so
-    the classes, their supports and every double annihilator of a union of
-    minimal sets are read off the distinct masks, with no further search.
+    SCC it reaches.  Vertex sets are bitsets (see ``_as_vertex_set``), and
+    so are sets of minimal-set indexes.  One pass in reverse topological
+    order gives each SCC its mask, the minimal sets it reaches: the union of
+    its successors' masks.  An SCC's vertices reach exactly the minimal sets
+    in its mask, so the classes, their supports and every double annihilator
+    of a union of minimal sets are read off the distinct masks, with no
+    further search.
     The index keeps only names, ints and frozensets: a reference back to the
     graph would form a cycle that outlives the graph until the garbage
     collector runs.

@@ -235,6 +235,8 @@ def test_verify_rejects_negative_arguments(capsys):
     assert code == 2 and "--max-degree" in err
     code, _, err = run(capsys, "verify", fx("g1"), "--max-len", "-3")
     assert code == 2 and "--max-len" in err
+    code, _, err = run(capsys, "verify", fx("g1"), "--max-len", "x")
+    assert code == 2 and "--max-len" in err and "'x'" in err
 
 
 def test_idempotents_rows(capsys):
@@ -555,18 +557,40 @@ def test_unknown_command(capsys):
     assert code == 2
 
 
+def alone_env():
+    """The environment of a fresh interpreter that imports the leavitt under test."""
+    src = str(pathlib.Path(leavitt.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_alone(*argv):
     """Exit code, stdout and stderr of one run in a fresh interpreter."""
-    src = str(pathlib.Path(leavitt.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "leavitt.cli", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=alone_env(),
         timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # a fork with 3,000 sinks: about 190 KB of report, more than a pipe buffers,
+    # so the run is still writing when the reader closes the pipe
+    graph = write_fork(tmp_path, 3000)
+    with subprocess.Popen(
+        [sys.executable, "-m", "leavitt.cli", "analyze", graph],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=alone_env(),
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head.startswith(b"graph: 3001 vertices, 3000 edges\n")
+    assert (code, err) == (141, b"")
 
 
 def test_import_leaves_dataclasses_typing_and_json_unloaded():

@@ -216,6 +216,17 @@ def test_graph_value_semantics():
     assert a != c
 
 
+def test_constructor_takes_one_shot_iterables_and_hashes_on_demand(corpus):
+    for g in corpus:
+        text = "".join(f"vertex {v}\n" for v in g.vertices) + "".join(f"edge {e} {s} {t}\n" for e, s, t in g.edges)
+        built = Graph(tuple(g.vertices), tuple(g.edges))
+        streamed = Graph(iter(g.vertices), (e for e in g.edges))
+        for h in (parse_graph(text), built, streamed):
+            assert h == built and (h.vertices, h.edges, h.edge_ids()) == (built.vertices, built.edges, built.edge_ids())
+            assert [h.vertex_index(v) for v in h.vertices] == list(range(len(g.vertices)))
+            assert hash(h) == hash((h.vertices, h.edges)) == hash(built)
+
+
 def test_path_is_an_immutable_named_tuple(g3):
     p = g3.path("v1", ["a"])
     with pytest.raises(AttributeError):
@@ -378,6 +389,9 @@ def test_parse_and_constructor_match_their_reference_checks():
         if got[0] == "graph":
             _assert_consistent(parse_graph(text))
         vertices, edges = _random_declarations(rng)
-        assert _outcome(Graph, vertices, edges) == _outcome(_reference_constructor, vertices, edges)
+        expected = _outcome(_reference_constructor, vertices, edges)
+        assert _outcome(Graph, vertices, edges) == expected
+        # the constructor reads each argument once, so one-shot iterables do
+        assert _outcome(Graph, iter(vertices), (e for e in edges)) == expected
     # the mix reaches every outcome, each many times
     assert min(kinds[k] for k in ("graph", "GraphSyntaxError", "DuplicateIdError", "UnknownVertexError")) > 500, kinds
