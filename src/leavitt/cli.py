@@ -3,8 +3,13 @@
 Four subcommands over a graph file: ``analyze`` (structure of the center),
 ``center`` (explicit basis of one graded piece), ``verify`` (brute-force
 cross-check of the constructed center), ``idempotents`` (the Boolean algebra
-of central idempotents).  Output is plain text, or a stable key/value tree
-with ``--json``.  Exit codes: 0 success, 1 failed check, 2 bad input, 141
+of central idempotents).
+
+Each command's handler builds only a payload of plain values, which
+``_emit`` wraps in one report with the graph's vertex and edge counts.
+``--json`` prints that report as it is; the text output is read off it
+line by line by the command's view in ``_HANDLERS``, so the two forms
+cannot disagree.  Exit codes: 0 success, 1 failed check, 2 bad input, 141
 when the reader closes stdout early (128 + SIGPIPE, as a shell reports it).
 """
 
@@ -31,10 +36,15 @@ from .center import (
 __all__ = ["main", "build_parser"]
 
 
-def _count_arg(text: str) -> int:
-    if text.isascii() and text.isdecimal():  # no sign, so never negative
+def _int_arg(text: str, signed: bool = True) -> int:
+    """An integer written as ASCII digits, after a ``-`` if ``signed``."""
+    digits = text.removeprefix("-") if signed else text
+    if digits.isascii() and digits.isdecimal():
         return int(text)
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, not {text!r}")
+    raise argparse.ArgumentTypeError(f"expected an integer{'' if signed else ' >= 0'}, not {text!r}")
+
+
+_count_arg = functools.partial(_int_arg, signed=False)  # never negative
 
 
 def _field_arg(text: str):
@@ -72,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("center", help="basis of one graded piece of the center")
     common(p)
-    p.add_argument("--degree", type=int, required=True, help="grading degree")
+    p.add_argument("--degree", type=_int_arg, required=True, help="grading degree")
 
     p = sub.add_parser("verify", help="cross-check the center against a brute-force solver")
     common(p)
@@ -110,98 +120,90 @@ def _set_str(g: Graph, ws) -> str:
     return "{" + ",".join(g.sorted_vertices(ws)) + "}"
 
 
-def _counted(n: int, singular: str, plural: str) -> str:
-    return f"{n} {singular if n == 1 else plural}"
-
-
-def _emit(args, g: Graph, payload: dict, lines: list[str]) -> None:
-    """Print the graph's size and then ``lines``, or with ``--json`` the
-    report of ``args.command`` around ``payload``."""
-    n, m = len(g.vertices), len(g.edge_ids())
+def _emit(args, g: Graph, payload: dict) -> None:
+    """Print the report of ``args.command`` around ``payload``: with
+    ``--json`` as JSON, else as the lines of its text view."""
+    graph = {"vertices": len(g.vertices), "edges": len(g.edge_ids())}
+    report = {"format_version": "1", "command": args.command, "graph": graph, "payload": payload}
     if args.json:
         import json  # only ``--json`` needs it
-        graph = {"vertices": n, "edges": m}
-        report = {"format_version": "1", "command": args.command, "graph": graph, "payload": payload}
         print(json.dumps(report, indent=2))
     else:
-        head = f"graph: {_counted(n, 'vertex', 'vertices')}, {_counted(m, 'edge', 'edges')}"
-        print("\n".join([head, *lines]))
+        print("\n".join(_text_lines(report)))
 
 
-def _cmd_analyze(args, g: Graph) -> int:
+def _text_lines(report: dict):
+    """The text output of ``report``: the graph's size, then the lines that
+    its command's view reads off the payload."""
+    n, m = report["graph"]["vertices"], report["graph"]["edges"]
+    yield f"graph: {n} {'vertex' if n == 1 else 'vertices'}, {m} {'edge' if m == 1 else 'edges'}"
+    yield from _HANDLERS[report["command"]][1](report["payload"])
+
+
+def _cmd_analyze(args, g: Graph) -> tuple[int, dict]:
     rep = center_structure(g)
-    k = len(rep.minimal_sets)
-    m = len(rep.summands)
-    minimal = [g.sorted_vertices(w) for w in rep.minimal_sets]
-    supports = [g.sorted_vertices(s.support) for s in rep.summands]
-    payload = {
-        "minimal_sets": minimal,
+    return 0, {
+        "minimal_sets": [g.sorted_vertices(w) for w in rep.minimal_sets],
         "classes": [
             {
                 "members": list(s.members),
-                "support": support,
+                "support": g.sorted_vertices(s.support),
                 "kind": "laurent" if s.is_laurent else "field",
                 "cycle": str(s.cycle) if s.cycle is not None else None,
                 "cycle_length": s.cycle_length,
             }
-            for s, support in zip(rep.summands, supports)
+            for s in rep.summands
         ],
-        "k": k,
-        "m": m,
-        "annihilator_size": 2**k,
-        "finitary_size": 2**m,
+        "k": len(rep.minimal_sets),
+        "m": len(rep.summands),
+        "annihilator_size": 2 ** len(rep.minimal_sets),
+        "finitary_size": 2 ** len(rep.summands),
         "isomorphism": rep.isomorphism,
     }
 
-    lines = ["minimal hereditary sets:"]
-    for i, w in enumerate(minimal, 1):
-        lines.append(f"  W{i} = {{{','.join(w)}}}")
-    lines.append("classes:")
-    for i, (s, support) in enumerate(zip(rep.summands, supports), 1):
-        members = ",".join(f"W{j + 1}" for j in s.members)
-        if s.is_laurent:
-            kind = f"Laurent via cycle {s.cycle} of length {s.cycle_length}"
-        else:
-            kind = "field"
-        lines.append(f"  I{i} = {{{members}}}: support {{{','.join(support)}}}, {kind}")
-    lines.append(f"annihilator algebra: {2**k} subsets (2^{k})")
-    lines.append(f"finitary subalgebra: {2**m} subsets (2^{m})")
-    lines.append(f"center: {rep.isomorphism}")
-    _emit(args, g, payload, lines)
-    return 0
+
+def _analyze_text(p: dict):
+    yield "minimal hereditary sets:"
+    for i, w in enumerate(p["minimal_sets"], 1):
+        yield f"  W{i} = {{{','.join(w)}}}"
+    yield "classes:"
+    for i, c in enumerate(p["classes"], 1):
+        members = ",".join(f"W{j + 1}" for j in c["members"])
+        kind = "field"
+        if c["kind"] == "laurent":
+            kind = f"Laurent via cycle {c['cycle']} of length {c['cycle_length']}"
+        yield f"  I{i} = {{{members}}}: support {{{','.join(c['support'])}}}, {kind}"
+    yield f"annihilator algebra: {p['annihilator_size']} subsets (2^{p['k']})"
+    yield f"finitary subalgebra: {p['finitary_size']} subsets (2^{p['m']})"
+    yield f"center: {p['isomorphism']}"
 
 
-def _cmd_center(args, g: Graph) -> int:
-    algebra = LeavittAlgebra(g, field=args.field)
-    basis = center_basis(algebra, args.degree)
-    predicted = center_dimension_predicted(g, args.degree)
-    texts = [str(el) for el in basis.elements]
-    payload = {
+def _cmd_center(args, g: Graph) -> tuple[int, dict]:
+    basis = center_basis(LeavittAlgebra(g, field=args.field), args.degree)
+    return 0, {
         "field": args.field.name,
         "degree": args.degree,
-        "predicted_dimension": predicted,
+        "predicted_dimension": center_dimension_predicted(g, args.degree),
         "basis": [
-            {"element": text, "provenance": why}
-            for text, why in zip(texts, basis.provenance)
+            {"element": str(el), "provenance": why}
+            for el, why in zip(basis.elements, basis.provenance)
         ],
     }
-    lines = [f"degree {args.degree} basis (predicted dimension {predicted}):"]
-    if texts:
-        for text, why in zip(texts, basis.provenance):
-            lines.append(f"  {text}  ({why})")
-    else:
-        lines.append("  (none)")
-    _emit(args, g, payload, lines)
-    return 0
 
 
-def _cmd_verify(args, g: Graph) -> int:
+def _center_text(p: dict):
+    yield f"degree {p['degree']} basis (predicted dimension {p['predicted_dimension']}):"
+    for row in p["basis"]:
+        yield f"  {row['element']}  ({row['provenance']})"
+    if not p["basis"]:
+        yield "  (none)"
+
+
+def _cmd_verify(args, g: Graph) -> tuple[int, dict]:
     algebra = LeavittAlgebra(g, field=args.field)
     # oracle_bound(g, d) is oracle_bound(g, 0) + |d|: search the arrivals once
     base = oracle_bound(g, 0) if args.max_len is None else None
     rows = []
-    lines = []
-    all_ok = True
     for d in range(-args.max_degree, args.max_degree + 1):
         bound = args.max_len if base is None else base + abs(d)
         found = brute_force_center(algebra, d, bound)
@@ -210,7 +212,6 @@ def _cmd_verify(args, g: Graph) -> int:
         ok = len(found) == predicted == len(basis.elements) and spans_equal(
             found, basis.elements
         )
-        all_ok = all_ok and ok
         rows.append(
             {
                 "degree": d,
@@ -220,19 +221,22 @@ def _cmd_verify(args, g: Graph) -> int:
                 "ok": ok,
             }
         )
-        lines.append(
-            f"degree {d}: oracle dim {len(found)}, predicted {predicted}, "
-            f"bound {bound}: {'OK' if ok else 'FAIL'}"
-        )
-    lines.append("all degrees OK" if all_ok else "verification FAILED")
-    payload = {
+    all_ok = all(row["ok"] for row in rows)
+    return 0 if all_ok else 1, {
         "field": args.field.name,
         "max_degree": args.max_degree,
         "degrees": rows,
         "ok": all_ok,
     }
-    _emit(args, g, payload, lines)
-    return 0 if all_ok else 1
+
+
+def _verify_text(p: dict):
+    for row in p["degrees"]:
+        yield (
+            f"degree {row['degree']}: oracle dim {row['oracle_dimension']}, "
+            f"predicted {row['predicted_dimension']}, bound {row['bound']}: {'OK' if row['ok'] else 'FAIL'}"
+        )
+    yield "all degrees OK" if p["ok"] else "verification FAILED"
 
 
 def _boolean_law_failure(g: Graph, one, members: dict) -> str | None:
@@ -290,38 +294,38 @@ def _boolean_law_failure(g: Graph, one, members: dict) -> str | None:
     return None
 
 
-def _cmd_idempotents(args, g: Graph) -> int:
+def _cmd_idempotents(args, g: Graph) -> tuple[int, dict | None]:
     algebra = LeavittAlgebra(g, field=args.field)
-    family = finitary_boolean_subalgebra(g)
-    members = {w: idempotent(algebra, w) for w in family}
+    members = {w: idempotent(algebra, w) for w in finitary_boolean_subalgebra(g)}
 
     # Boolean laws must hold before anything is printed
     failure = _boolean_law_failure(g, algebra.one(), members)
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
-        return 1
-    texts = {w: str(members[w]) for w in family}
-
-    payload = {
+        return 1, None
+    return 0, {
         "field": args.field.name,
-        "count": len(family),
+        "count": len(members),
         "subsets": [
-            {"vertices": g.sorted_vertices(w), "element": texts[w]}
-            for w in family
+            {"vertices": g.sorted_vertices(w), "element": str(element)}
+            for w, element in members.items()
         ],
     }
-    lines = [f"finitary annihilator subsets: {len(family)}"]
-    for w in family:
-        lines.append(f"  {_set_str(g, w)} -> {texts[w]}")
-    _emit(args, g, payload, lines)
-    return 0
 
 
+def _idempotents_text(p: dict):
+    yield f"finitary annihilator subsets: {p['count']}"
+    for row in p["subsets"]:
+        yield f"  {{{','.join(row['vertices'])}}} -> {row['element']}"
+
+
+# each command's report builder, which returns its exit code and payload
+# (None when a failed check has printed its error), and its text view
 _HANDLERS = {
-    "analyze": _cmd_analyze,
-    "center": _cmd_center,
-    "verify": _cmd_verify,
-    "idempotents": _cmd_idempotents,
+    "analyze": (_cmd_analyze, _analyze_text),
+    "center": (_cmd_center, _center_text),
+    "verify": (_cmd_verify, _verify_text),
+    "idempotents": (_cmd_idempotents, _idempotents_text),
 }
 
 
@@ -343,7 +347,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        code = _HANDLERS[args.command](args, g)
+        code, payload = _HANDLERS[args.command][0](args, g)
+        if payload is not None:
+            _emit(args, g, payload)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: point it at the null device, so that the

@@ -146,6 +146,14 @@ def _check_ident(x: str, line: int | None = None) -> None:
         raise GraphSyntaxError(f"invalid identifier {x!r}", line)
 
 
+def _edge_triple(item) -> tuple:
+    """An edge given to ``Graph`` as an (id, source, target) tuple; a string
+    or anything else that is not a sequence of three items is refused."""
+    if isinstance(item, str) or not isinstance(item, Sequence) or len(item) != 3:
+        raise GraphSyntaxError(f"expected an edge (id, source, target), not {item!r}")
+    return tuple(item)
+
+
 class Graph:
     """Immutable finite directed multigraph with declaration-ordered ids.
 
@@ -154,7 +162,7 @@ class Graph:
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
-        edges = tuple((e, s, t) for e, s, t in edges)
+        edges = tuple(map(_edge_triple, edges))
         vindex: dict[str, int] = {}
         for v in vertices:
             _check_ident(v)

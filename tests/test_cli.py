@@ -172,6 +172,20 @@ def test_center_json_over_prime_field(capsys):
     ]
 
 
+@pytest.mark.parametrize("bad", ["1_0", "+3", " 3", "3 ", "\u0663", "\uff13", "3.0", "0x3", "--3", "-", ""])
+def test_center_degree_is_an_optional_minus_and_ascii_digits(capsys, bad):
+    # int() would read the first six as 10, 3, 3, 3, 3 and 3
+    code, out, err = run(capsys, "center", fx("g1"), f"--degree={bad}")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"leavitt center: error: argument --degree: expected an integer, not {bad!r}"
+
+
+def test_center_degree_takes_a_minus_and_leading_zeros(capsys):
+    for text, degree in [("-0", 0), ("007", 7), ("-12", -12)]:
+        code, report, _ = run_json(capsys, "center", fx("g1"), "--degree", text)
+        assert (code, report["payload"]["degree"]) == (0, degree)
+
+
 def test_verify_ok_dimensions(capsys):
     code, report, _ = run_json(capsys, "verify", fx("g3"), "--max-degree", "4")
     assert code == 0

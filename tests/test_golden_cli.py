@@ -7,16 +7,18 @@ covers 6 fixtures x ``rat``/``fp:2``/``fp:97`` x ``analyze``,
 0|3|-2|6|-6`` x text and ``--json``: 288 runs.  A change that is meant to
 keep every output must leave the table as it is.  When output is meant to
 change, regenerate it with ``PYTHONPATH=src python tests/test_golden_cli.py``
-and review the diff.
+and review the diff.  Each text run's stdout is also the text view of its
+``--json`` twin's report.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
 import sys
 
-from leavitt.cli import main
+from leavitt.cli import _text_lines, main
 
 HERE = pathlib.Path(__file__).parent
 TABLE = HERE / "golden_cli.tsv"
@@ -48,12 +50,18 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _replay(argv):
-    """Exit code and the sha256 of stdout and stderr of one in-process run."""
+def _run(argv):
+    """Exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, _digest(out.getvalue()), _digest(err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+def _replay(argv):
+    """Exit code and the sha256 of stdout and stderr of one in-process run."""
+    code, out, err = _run(argv)
+    return code, _digest(out), _digest(err)
 
 
 def _line(name, argv, code, out, err) -> str:
@@ -73,6 +81,17 @@ def test_cli_output_matches_golden_table():
     mismatched = [want.split("\t")[0] for want, have in zip(expected, got) if want != have]
     assert not mismatched, mismatched
     assert got == expected
+
+
+def test_text_output_is_the_view_of_the_json_report():
+    runs = list(_runs())
+    pairs = list(zip(runs[::2], runs[1::2]))
+    assert len(pairs) == 144
+    for (_, argv), (_, json_argv) in pairs:
+        assert json_argv == [*argv, "--json"]
+        code, text, _ = _run(argv)
+        report = json.loads(_run(json_argv)[1])
+        assert text == "\n".join(_text_lines(report)) + "\n", (code, argv)
 
 
 if __name__ == "__main__":

@@ -112,6 +112,19 @@ def test_graph_constructor_validates():
         assert info.value.line is None
 
 
+@pytest.mark.parametrize("item", [("e", "a"), ("e", "a", "a", "x"), 5, "eaa", None, {"e", "a", "b"}, iter("eab")])
+def test_graph_constructor_refuses_an_edge_that_is_not_a_triple(item):
+    # a triple of the right shape, or a list of three, is an edge
+    assert Graph(["a", "b"], [("e", "a", "b"), ["f", "b", "a"]]).edges == (("e", "a", "b"), ("f", "b", "a"))
+    message = f"^expected an edge \\(id, source, target\\), not {re.escape(repr(item))}$"
+    with pytest.raises(GraphSyntaxError, match=message) as info:
+        Graph(["a", "b"], [("e", "a", "b"), item])
+    assert info.value.line is None
+    # the shape of every edge is checked before any vertex or edge id
+    with pytest.raises(GraphSyntaxError, match=message):
+        Graph(["1a", "a"], [("2e", "x", "y"), item])
+
+
 def test_sorted_vertices_follow_declaration_order(g3):
     assert g3.sorted_vertices({"v5", "v1", "v3"}) == ("v1", "v3", "v5")
     assert g3.sorted_vertices([]) == ()
