@@ -341,38 +341,31 @@ class Element:
         return f"Element({self})"
 
 
-class LeavittAlgebra:
-    """The Leavitt path algebra of a finite graph over an exact scalar field."""
+class LeavittAlgebra(_Value):
+    """The Leavitt path algebra of a finite graph over an exact scalar field.
+
+    Its fields are the graph, the specialization (by default the canonical
+    one) and the field (by default the rationals)."""
+
+    __slots__ = __match_args__ = ("graph", "specialization", "field")
 
     def __init__(
         self,
         graph: Graph,
         specialization: Specialization | None = None,
-        field=None,
+        field: Rationals | PrimeField | None = None,
     ):
-        if specialization is None:
-            specialization = canonical_specialization(graph)
-        elif specialization.graph != graph:
+        if not isinstance(graph, Graph):
+            raise TypeError(f"graph must be a Graph, not {graph!r}")
+        specialization = canonical_specialization(graph) if specialization is None else specialization
+        if not isinstance(specialization, Specialization):
+            raise TypeError(f"specialization must be None or a Specialization, not {specialization!r}")
+        if specialization.graph != graph:
             raise AlgebraMismatchError("specialization belongs to a different graph")
-        self.graph = graph
-        self.specialization = specialization
-        self.field = field if field is not None else Rationals()
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, LeavittAlgebra)
-            and self.graph == other.graph
-            and self.specialization == other.specialization
-            and self.field == other.field
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.specialization, self.field))
-
-    def __repr__(self) -> str:
-        return f"LeavittAlgebra({self.graph!r}, field={self.field.name})"
+        field = Rationals() if field is None else field
+        if not isinstance(field, (Rationals, PrimeField)):
+            raise TypeError(f"field must be None, Rationals or PrimeField, not {field!r}")
+        super().__init__(graph, specialization, field)
 
     # -- element constructors ---------------------------------------------
 

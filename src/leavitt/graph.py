@@ -87,7 +87,11 @@ class _Value:
     arguments to them, by position or keyword, and raises ``TypeError``
     naming the type and its fields when one is missing, extra, unknown or
     given twice.  As in a frozen dataclass, an instance equals only an
-    instance of its own type with equal fields and hashes as their tuple."""
+    instance of its own type with equal fields and hashes as their tuple.
+    A subclass may have a checking constructor of its own that stores the
+    fields through this one.  Its ``__slots__`` may extend ``__match_args__``
+    with derived state, which that constructor sets once with
+    ``object.__setattr__``."""
 
     __slots__ = ()
 
@@ -104,7 +108,9 @@ class _Value:
         return self.__class__, tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other):
-        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.__reduce__() == other.__reduce__()
 
     def __hash__(self) -> int:
         return hash(self.__reduce__()[1])
@@ -142,7 +148,7 @@ class Cycle(_Value):
 
 
 def _check_ident(x: str, line: int | None = None) -> None:
-    if not _IDENT.fullmatch(x):
+    if not isinstance(x, str) or not _IDENT.fullmatch(x):
         raise GraphSyntaxError(f"invalid identifier {x!r}", line)
 
 
@@ -154,12 +160,28 @@ def _edge_triple(item) -> tuple:
     return tuple(item)
 
 
-class Graph:
+def _edge_sequence(edges: Iterable[str]) -> tuple[str, ...]:
+    """The edge ids of a path or cycle as a tuple; a string is refused, since
+    it is an iterable of its characters, never a sequence of edges."""
+    if isinstance(edges, str):
+        raise TypeError(f"expected a sequence of edge ids, not the string {edges!r}")
+    return tuple(edges)
+
+
+class Graph(_Value):
     """Immutable finite directed multigraph with declaration-ordered ids.
 
-    Vertex ids and edge ids live in separate namespaces; each must be unique
-    within its own.
+    Its fields are the vertex ids and the (id, source, target) edges, each
+    in declaration order.  Vertex ids and edge ids live in separate
+    namespaces; each must be unique within its own.
     """
+
+    __match_args__ = ("vertices", "edges")
+    # the indexes and adjacency that ``_init`` derives from the fields
+    __slots__ = __match_args__ + ("_vindex", "_eindex", "_src", "_dst", "_out", "_in")
+    # the hereditary module's index, set on first use, the center module's path
+    # layers, a list it extends, and weak references
+    __slots__ += ("_scc_index", "_path_layers", "__weakref__")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
         edges = tuple(map(_edge_triple, edges))
@@ -176,6 +198,8 @@ class Graph:
                 raise DuplicateIdError(f"duplicate edge id {e!r}")
             eindex[e] = len(eindex)
             for v in (s, t):
+                if not isinstance(v, str):
+                    raise GraphSyntaxError(f"invalid identifier {v!r}")
                 if v not in vindex:
                     raise UnknownVertexError(f"unknown vertex {v!r}")
         self._init(vindex, eindex, edges)
@@ -184,35 +208,25 @@ class Graph:
         """Set up a graph from the tables that the checks of ``__init__`` or
         ``parse_graph`` fill: each vertex and each edge id mapped to its
         declaration index, and the edges in declaration order."""
-        self._vertices = tuple(vindex)
-        self._edges = edges
-        self._vindex = vindex
-        self._eindex = eindex
-        self._src = {e: s for e, s, _ in edges}
-        self._dst = {e: t for e, _, t in edges}
+        super().__init__(tuple(vindex), edges)
         out: dict[str, list[str]] = {v: [] for v in vindex}
         inc: dict[str, list[str]] = {v: [] for v in vindex}
         for e, s, t in edges:
             out[s].append(e)
             inc[t].append(e)
-        self._out = {v: tuple(es) for v, es in out.items()}
-        self._in = {v: tuple(es) for v, es in inc.items()}
-        self._edge_ids = tuple(eindex)
-        self._scc_index = None  # built by the hereditary module on first use
-        self._path_layers = []  # grown by the center module's oracle
+        object.__setattr__(self, "_vindex", vindex)
+        object.__setattr__(self, "_eindex", eindex)
+        object.__setattr__(self, "_src", {e: s for e, s, _ in edges})
+        object.__setattr__(self, "_dst", {e: t for e, _, t in edges})
+        object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
+        object.__setattr__(self, "_in", {v: tuple(es) for v, es in inc.items()})
+        object.__setattr__(self, "_scc_index", None)
+        object.__setattr__(self, "_path_layers", [])
 
     # -- basic accessors -------------------------------------------------
 
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self._vertices
-
-    @property
-    def edges(self) -> tuple[tuple[str, str, str], ...]:
-        return self._edges
-
     def edge_ids(self) -> tuple[str, ...]:
-        return self._edge_ids
+        return tuple(self._eindex)
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vindex
@@ -256,19 +270,17 @@ class Graph:
     # -- paths and cycles ------------------------------------------------
 
     def vertex_path(self, v: str) -> Path:
-        if not self.has_vertex(v):
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-        return Path(v, (), v)
+        return self.path(v)
 
     def edge_path(self, e: str) -> Path:
         return Path(self.source_of(e), (e,), self.target_of(e))
 
     def path(self, source: str, edges: Iterable[str] = ()) -> Path:
         """Build a validated path from ``source`` along ``edges``."""
+        edges = _edge_sequence(edges)
         if not self.has_vertex(source):
             raise UnknownVertexError(f"unknown vertex {source!r}")
         cur = source
-        edges = tuple(edges)
         for e in edges:
             if self.source_of(e) != cur:
                 raise ValueError(f"edge {e!r} does not start at {cur!r}")
@@ -289,7 +301,7 @@ class Graph:
 
     def cycle(self, edges: Iterable[str]) -> Cycle:
         """Canonicalize ``edges`` as a cycle (rotated to the smallest start vertex)."""
-        edges = tuple(edges)
+        edges = _edge_sequence(edges)
         if not edges:
             raise NotACycleError("a cycle needs at least one edge")
         sources = tuple(self.source_of(e) for e in edges)
@@ -309,30 +321,25 @@ class Graph:
         if rebuilt != c:
             raise NotACycleError("cycle does not belong to this graph")
 
-    # -- value semantics ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self._vertices == other._vertices
-            and self._edges == other._edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
-
     def __repr__(self) -> str:
-        return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
+        return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-class Specialization:
+class Specialization(_Value):
     """A total choice of one outgoing edge per non-sink vertex.
 
     The chosen edges are "special"; they decide which monomials count as
-    normal form in the algebra.
+    normal form in the algebra.  The field ``choices`` holds the (vertex,
+    edge) pairs in vertex declaration order; the constructor takes them as
+    such pairs, which pickle and copy pass it, or as a mapping from vertex
+    to edge.
     """
 
-    def __init__(self, graph: Graph, choices: Mapping[str, str]):
+    __match_args__ = ("graph", "choices")
+    __slots__ = __match_args__ + ("_edge_at", "special_edges")
+
+    def __init__(self, graph: Graph, choices: Mapping[str, str] | Iterable[tuple[str, str]]):
+        choices = dict(choices)
         non_sinks = {v for v in graph.vertices if graph.out_edges(v)}
         if set(choices) != non_sinks:
             missing = non_sinks - set(choices)
@@ -346,26 +353,15 @@ class Specialization:
         for v, e in choices.items():
             if graph.source_of(e) != v:
                 raise ValueError(f"edge {e!r} does not start at {v!r}")
-        self.graph = graph
-        self._choices = {v: choices[v] for v in graph.vertices if v in choices}
-        self.special_edges = frozenset(self._choices.values())
-        self._key = (graph, tuple(self._choices.items()))
+        super().__init__(graph, tuple([(v, choices[v]) for v in graph.vertices if v in choices]))
+        object.__setattr__(self, "_edge_at", choices)
+        object.__setattr__(self, "special_edges", frozenset(choices.values()))
 
     def __getitem__(self, v: str) -> str:
-        return self._choices[v]
+        return self._edge_at[v]
 
     def is_special(self, e: str) -> bool:
         return e in self.special_edges
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Specialization) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}->{e}" for v, e in self._choices.items())
-        return f"Specialization({inner})"
 
 
 def parse_graph(text: str) -> Graph:

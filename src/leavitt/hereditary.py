@@ -335,7 +335,7 @@ class _Index:
 def _index(g: Graph) -> _Index:
     """The index of ``g``, built on first use and kept on the graph."""
     if g._scc_index is None:
-        g._scc_index = _Index(g)
+        object.__setattr__(g, "_scc_index", _Index(g))
     return g._scc_index
 
 

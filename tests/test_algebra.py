@@ -887,6 +887,21 @@ def test_printing_does_not_keep_the_graph_alive():
         gc.enable()
 
 
+def test_algebra_constructor_checks_argument_types(g3):
+    spec = canonical_specialization(g3)
+    for kwargs, name in [
+        ({"graph": "g3"}, "graph"),
+        ({"graph": None}, "graph"),
+        ({"graph": g3, "specialization": dict(spec.choices)}, "specialization"),
+        ({"graph": g3, "field": 5}, "field"),
+        ({"graph": g3, "field": "rat"}, "field"),
+    ]:
+        with pytest.raises(TypeError, match=f"^{name} must be "):
+            LeavittAlgebra(**kwargs)
+    assert LeavittAlgebra(g3, None, None) == LeavittAlgebra(g3, spec, Rationals())
+    assert LeavittAlgebra(g3, field=PrimeField(5)).field == PrimeField(5)
+
+
 def test_algebra_mismatch(g1, g2):
     a1 = LeavittAlgebra(g1)
     a2 = LeavittAlgebra(g2)

@@ -125,6 +125,35 @@ def test_graph_constructor_refuses_an_edge_that_is_not_a_triple(item):
         Graph(["1a", "a"], [("2e", "x", "y"), item])
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, bad",
+    [
+        ([5], [], 5),
+        ([None], [], None),
+        (["a"], [(b"e", "a", "a")], b"e"),
+        (["a"], [("e", 5, "a")], 5),
+        (["a"], [("e", "a", ["x"])], ["x"]),  # unhashable: never looked up
+        ([["a"]], [], ["a"]),
+        ([1, 1], [], 1),  # before the duplicate check
+        (["a"], [(2, "a", "a"), (2, "a", "a")], 2),
+        (["a"], [("e", 5.0, "b")], 5.0),  # before the unknown-vertex check
+    ],
+)
+def test_graph_constructor_refuses_ids_that_are_not_strings(vertices, edges, bad):
+    with pytest.raises(GraphSyntaxError, match=f"^invalid identifier {re.escape(repr(bad))}$") as info:
+        Graph(vertices, edges)
+    assert info.value.line is None
+
+
+def test_path_and_cycle_refuse_a_bare_string(g3):
+    # a string is an iterable of its characters, never a sequence of edge ids
+    for build in (lambda: g3.path("v2", "b2"), lambda: g3.path("v1", "a"), lambda: g3.cycle("a")):
+        with pytest.raises(TypeError, match="^expected a sequence of edge ids, not the string "):
+            build()
+    assert g3.path("v1", ("a", "b2")) == g3.path("v1", ["a", "b2"]) == Path("v1", ("a", "b2"), "v3")
+    assert g3.cycle(["b3", "b4", "b2"]) == g3.cycle(iter(("b2", "b3", "b4")))
+
+
 def test_sorted_vertices_follow_declaration_order(g3):
     assert g3.sorted_vertices({"v5", "v1", "v3"}) == ("v1", "v3", "v5")
     assert g3.sorted_vertices([]) == ()

@@ -51,3 +51,9 @@ def test_readme_entry_points_are_exported():
     for bullet in bullets:
         names = re.findall(r"`([^`]+)`", bullet.split(":", 1)[0])
         assert names and set(names) <= set(leavitt.__all__), (names, bullet)
+
+
+def test_readme_reprs_of_the_example_algebra(g3):
+    [block] = [body for lang, body in BLOCKS if lang == "text" and body.startswith("Graph(")]
+    alg = LeavittAlgebra(g3)
+    assert block.splitlines() == [repr(alg.graph), repr(alg.specialization), repr(alg)]

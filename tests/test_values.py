@@ -1,10 +1,12 @@
-"""Value semantics of the package's small immutable types.
+"""Value semantics of the package's immutable types.
 
-Each type is equal only to an instance of the same type with equal fields,
-hashes as the tuple of its fields, refuses assignment and deletion, has a
-``Name(field=value, ...)`` repr, takes its fields by position or keyword,
-each exactly once, supports ``match`` by position, and survives pickle,
-copy and deepcopy.
+Each small type is equal only to an instance of the same type with equal
+fields, hashes as the tuple of its fields, refuses assignment and deletion,
+has a ``Name(field=value, ...)`` repr, takes its fields by position or
+keyword, each exactly once, supports ``match`` by position, and survives
+pickle, copy and deepcopy.  The three types an algebra is built from,
+``Graph``, ``Specialization`` and ``LeavittAlgebra``, share these semantics
+but keep their own validating constructors, and ``Graph`` its short repr.
 """
 
 import copy
@@ -18,10 +20,15 @@ from leavitt import (
     ClassSummand,
     Cycle,
     FiniteArrivals,
+    Graph,
     InfiniteArrivals,
+    LeavittAlgebra,
     Path,
     PrimeField,
     Rationals,
+    Specialization,
+    canonical_specialization,
+    center_structure,
     parse_graph,
 )
 
@@ -142,3 +149,92 @@ def test_field_objects_keep_their_class_attributes():
     assert (r.name, r.zero, r.one) == ("rat", 0, 1)
     assert (f.name, f.zero, f.one) == ("fp:7", 0, 1)
     assert Rationals() != PrimeField(7)
+
+
+SPEC = Specialization(G, {"v": "c"})
+# (type, field names, field values, other field values, private attributes)
+# for the three types an algebra is built from
+CENTRAL_CASES = [
+    (
+        Graph,
+        ("vertices", "edges"),
+        (("v", "w"), (("c", "v", "v"), ("g", "v", "w"))),
+        (("v", "w"), (("c", "v", "v"),)),
+        ("_vindex", "_eindex", "_src", "_dst", "_out", "_in", "_scc_index", "_path_layers"),
+    ),
+    (Specialization, ("graph", "choices"), (G, (("v", "c"),)), (G, (("v", "g"),)), ("_edge_at", "special_edges")),
+    (LeavittAlgebra, ("graph", "specialization", "field"), (G, SPEC, Rationals()), (G, SPEC, PrimeField(7)), ()),
+]
+CENTRAL_IDS = [case[0].__name__ for case in CENTRAL_CASES]
+
+
+@pytest.mark.parametrize("cls, names, values, other, private", CENTRAL_CASES, ids=CENTRAL_IDS)
+def test_central_types_equal_and_hash_as_their_fields(cls, names, values, other, private):
+    a, b = cls(*values), cls(**dict(zip(names, values)))
+    assert a is not b and a == b and not (a != b)
+    assert hash(a) == hash(b) == hash(values)
+    assert cls.__match_args__ == names
+    assert tuple(getattr(a, name) for name in names) == values
+    assert a != values and values != a
+    assert a != object()
+    assert a != cls(*other) and cls(*other) != a
+
+
+def test_central_types_equal_however_built():
+    assert G == Graph(iter(G.vertices), [list(edge) for edge in G.edges])
+    assert hash(G) == hash((G.vertices, G.edges))
+    assert SPEC == Specialization(G, (("v", "c"),)) == Specialization(G, iter([("v", "c")])) == canonical_specialization(G)
+    assert hash(SPEC) == hash((G, (("v", "c"),)))
+    default = LeavittAlgebra(G)
+    assert default == LeavittAlgebra(G, SPEC) == LeavittAlgebra(G, field=Rationals()) == LeavittAlgebra(G, None, None)
+    assert hash(default) == hash((G, SPEC, Rationals()))
+    assert default != LeavittAlgebra(G, Specialization(G, {"v": "g"}))
+
+
+def test_match_binds_the_fields_of_the_central_types():
+    match G, SPEC, LeavittAlgebra(G, field=PrimeField(7)):
+        case Graph(vertices, edges), Specialization(graph, choices), LeavittAlgebra(g, s, PrimeField(p)):
+            assert (vertices, edges) == (("v", "w"), (("c", "v", "v"), ("g", "v", "w")))
+            assert (graph, choices, g, s, p) == (G, (("v", "c"),), G, SPEC, 7)
+        case _:
+            pytest.fail("no case matched")
+
+
+@pytest.mark.parametrize("cls, names, values, other, private", CENTRAL_CASES, ids=CENTRAL_IDS)
+def test_central_types_survive_pickle_and_copy(cls, names, values, other, private):
+    x = cls(*values)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is cls and y == x and hash(y) == hash(x)
+        assert tuple(getattr(y, name) for name in names) == values
+        assert repr(y) == repr(x)
+
+
+def test_copied_graphs_and_specializations_rebuild_their_tables():
+    g = parse_graph("vertex v\nvertex w\nedge c v v\nedge g v w\n")
+    center_structure(g)  # fills the graph's cache, which a copy does not carry
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert (h.out_edges("v"), h.in_edges("w"), h.vertex_index("w")) == (("c", "g"), ("g",), 1)
+        assert center_structure(h) == center_structure(g)
+    for s in (pickle.loads(pickle.dumps(SPEC)), copy.deepcopy(SPEC)):
+        assert (s["v"], s.special_edges) == ("c", frozenset({"c"}))
+
+
+@pytest.mark.parametrize("cls, names, values, other, private", CENTRAL_CASES, ids=CENTRAL_IDS)
+def test_central_types_are_immutable(cls, names, values, other, private):
+    x = cls(*values)
+    for name in names + private + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == cls(*values) and hash(x) == hash(values)
+    assert set(private) <= set(cls.__slots__)
+
+
+def test_reprs_of_the_central_types():
+    assert repr(G) == "Graph(2 vertices, 2 edges)"
+    assert repr(SPEC) == "Specialization(graph=Graph(2 vertices, 2 edges), choices=(('v', 'c'),))"
+    assert repr(LeavittAlgebra(G, field=PrimeField(7))) == (
+        "LeavittAlgebra(graph=Graph(2 vertices, 2 edges), specialization=Specialization(graph=Graph(2 vertices, 2 edges), "
+        "choices=(('v', 'c'),)), field=PrimeField(p=7))"
+    )
