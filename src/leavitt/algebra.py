@@ -20,7 +20,7 @@ from functools import cmp_to_key
 from itertools import chain, compress, count
 from operator import ne
 
-from .graph import _IDENT, Graph, Path, Specialization, _Value, canonical_specialization
+from .graph import _IDENT, Graph, Path, Specialization, _Value, _path_text, canonical_specialization
 
 __all__ = [
     "Rationals",
@@ -169,9 +169,13 @@ class Monomial(namedtuple("Monomial", ("left", "right"))):
         return not self.left.edges and not self.right.edges
 
     def __str__(self) -> str:
-        if self.is_vertex():
-            return self.left.source
-        return f"[{self.left}][{self.right}]"
+        return _term_text(self.left.source, self.left.edges, self.right.source, self.right.edges)
+
+
+def _term_text(u: str, a: tuple, w: str, b: tuple) -> str:
+    """The text of the monomial [a][b] with a from u and b from w: a vertex's
+    id when both paths are that vertex, else both paths in brackets."""
+    return f"[{_path_text(u, a)}][{_path_text(w, b)}]" if a or b else u
 
 
 # element text: a bracket side is ``@v`` or edge ids; a term is a separator
@@ -186,48 +190,57 @@ _TERM = (
 )
 
 
-class Element:
-    """An algebra element held in the basic-monomial normal form.  Immutable."""
+class Element(_Value):
+    """An algebra element held in the basic-monomial normal form.
 
-    __slots__ = ("algebra", "_terms")
+    Its fields are the algebra and ``_terms``, a dict from each basic
+    monomial [a][b] to its nonzero coefficient.  The monomial is keyed as
+    the flat tuple (a's source, a's edges, b's source, b's edges); its
+    range is the target of a's last edge, or a's source when a is a vertex.
+    Elements are equal when their fields are; the dict makes them unhashable.
+    """
 
-    def __init__(self, algebra: "LeavittAlgebra", terms: dict):
-        # terms must already be basic monomials with nonzero coefficients
-        self.algebra = algebra
-        self._terms = terms
+    __slots__ = __match_args__ = ("algebra", "_terms")
+    __hash__ = None
 
     # -- inspection ------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> list[tuple[Monomial, object]]:
-        """The (monomial, coefficient) pairs in ``LeavittAlgebra.monomial_key``
+    def _sorted_terms(self) -> list[tuple[tuple, object]]:
+        """The (key, coefficient) pairs in ``LeavittAlgebra.monomial_key``
         order: left length, right length, then the left and the right path,
         each by its edges' declaration indexes (a length-0 path by its
         vertex's).  Two monomials are compared up to their first differing edge."""
         g = self.algebra.graph
         eindex, vindex = g._eindex, g._vindex  # held by no algebra: no reference cycle
 
-        def cmp(a, b):  # reads the paths as (source, edges, target) tuples, by index
-            (l1, r1), (l2, r2) = a[0], b[0]
-            e1, e2 = l1[1], l2[1]
-            d = len(e1) - len(e2) or len(r1[1]) - len(r2[1])
+        def cmp(x, y):
+            (u1, e1, _, r1), (u2, e2, _, r2) = x[0], y[0]
+            d = len(e1) - len(e2) or len(r1) - len(r2)
             if d:
                 return d
             if e1 == e2:
-                if l1[0] != l2[0]:
-                    return vindex[l1[0]] - vindex[l2[0]]
+                if u1 != u2:
+                    return vindex[u1] - vindex[u2]
                 # one left path: the right paths end at its range, so they differ in an edge
-                e1, e2 = r1[1], r2[1]
+                e1, e2 = r1, r2
             # most pairs differ at the first edge; else find the first mismatch in C
             i = 0 if e1[0] != e2[0] else next(compress(count(), map(ne, e1, e2)))
             return eindex[e1[i]] - eindex[e2[i]]
 
         return sorted(self._terms.items(), key=cmp_to_key(cmp))
 
+    def terms(self) -> list[tuple[Monomial, object]]:
+        """The (monomial, coefficient) pairs in ``LeavittAlgebra.monomial_key``
+        order, each monomial built from its key."""
+        dst, terms = self.algebra.graph._dst, self._sorted_terms()
+        ranges = [dst[a[-1]] if a else u for (u, a, _, _), _ in terms]
+        return [(Monomial(Path(u, a, r), Path(w, b, r)), c) for ((u, a, w, b), c), r in zip(terms, ranges)]
+
     def degrees(self) -> list[int]:
-        return sorted({m.degree for m in self._terms})
+        return sorted({len(a) - len(b) for _, a, _, b in self._terms})
 
     # -- ring operations --------------------------------------------------
 
@@ -266,16 +279,15 @@ class Element:
             # the other: index the right factor by p2's source and first edge, if any
             index: dict[str, dict] = {}
             for m2, c2 in other._terms.items():
-                p2 = m2.left
-                index.setdefault(p2.source, {}).setdefault(p2.edges[:1], []).append((m2, c2))
-            raw: dict[Monomial, object] = {}
+                index.setdefault(m2[0], {}).setdefault(m2[1][:1], []).append((m2, c2))
+            raw: dict[tuple, object] = {}
             for m1, c1 in self._terms.items():
-                q1 = m1.right
-                starts = index.get(q1.source)
+                _, _, w, q = m1
+                starts = index.get(w)
                 if starts is None:
                     continue
-                if q1.edges:
-                    meets = chain(starts.get(q1.edges[:1], ()), starts.get((), ()))
+                if q:
+                    meets = chain(starts.get(q[:1], ()), starts.get((), ()))
                 else:
                     meets = chain.from_iterable(starts.values())
                 for m2, c2 in meets:
@@ -299,10 +311,10 @@ class Element:
     def star(self) -> "Element":
         """The involution: swap the two paths of every monomial."""
         # the basis condition is symmetric in the two paths, so no rewriting is needed
-        return Element(self.algebra, {m.star(): c for m, c in self._terms.items()})
+        return Element(self.algebra, {(w, b, u, a): c for (u, a, w, b), c in self._terms.items()})
 
     def degree_component(self, d: int) -> "Element":
-        return Element(self.algebra, {m: c for m, c in self._terms.items() if m.degree == d})
+        return Element(self.algebra, {m: c for m, c in self._terms.items() if len(m[1]) - len(m[3]) == d})
 
     def is_central(self) -> bool:
         """Exact commutation with every vertex, edge and edge star.
@@ -315,24 +327,17 @@ class Element:
         sum of e* f x f* = r(e) x e* = x e* over the out-edges f of v.  So the
         sources and the 2|E| products x e and e x decide.
         """
-        if any(m.left.source != m.right.source for m in self._terms):
+        if any(u != w for u, _, w, _ in self._terms):
             return False
         alg = self.algebra
         return all(self * gen == gen * self for gen in map(alg.edge, alg.graph.edge_ids()))
 
-    # -- value semantics ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Element)
-            and self.algebra == other.algebra
-            and self._terms == other._terms
-        )
+    # -- text ---------------------------------------------------------------
 
     def __str__(self) -> str:
         parts = []
-        for m, c in self.terms():
-            cs = str(c)
+        for key, c in self._sorted_terms():
+            cs, m = str(c), _term_text(*key)
             sign, cs = ("-", cs[1:]) if cs.startswith("-") else ("+", cs)
             parts.append(f"{sign}{m}" if cs == "1" else f"{sign}{cs}*{m}")
         return "".join(parts).removeprefix("+") or "0"
@@ -374,11 +379,7 @@ class LeavittAlgebra(_Value):
 
     def one(self) -> Element:
         """The sum of all vertices (the identity of the unital algebra)."""
-        one = self.field.one
-        return Element(
-            self,
-            {Monomial(p, p): one for p in map(self.graph.vertex_path, self.graph.vertices)},
-        )
+        return Element(self, {(v, (), v, ()): self.field.one for v in self.graph.vertices})
 
     def vertex(self, v: str) -> Element:
         return self.path_element(self.graph.vertex_path(v))
@@ -397,8 +398,7 @@ class LeavittAlgebra(_Value):
 
     def path_element(self, p: Path) -> Element:
         self._check_path(p)
-        m = Monomial(p, self.graph.vertex_path(p.target))
-        return Element(self, {m: self.field.one})
+        return Element(self, {(p.source, p.edges, p.target, ()): self.field.one})
 
     def monomial(self, left: Path, right: Path) -> Monomial:
         self._check_path(left)
@@ -411,10 +411,10 @@ class LeavittAlgebra(_Value):
 
     def element(self, terms: Iterable[tuple[Monomial, object]]) -> Element:
         """Normal form of a formal combination of path-pair monomials."""
-        raw: dict[Monomial, object] = {}
+        raw: dict[tuple, object] = {}
         for m, c in terms:
-            self.monomial(m.left, m.right)  # validate
-            raw[m] = raw.get(m, 0) + self.field.coerce(c)
+            (u, a, _), (w, b, _) = self.monomial(m.left, m.right)  # validate
+            raw[u, a, w, b] = raw.get((u, a, w, b), 0) + self.field.coerce(c)
         return Element(self, self._normal_form(raw))
 
     # -- normal form --------------------------------------------------------
@@ -433,9 +433,9 @@ class LeavittAlgebra(_Value):
         in ``raw`` are fine: each stored total goes through ``field.reduce``.
         """
         g, special, red = self.graph, self.specialization.special_edges, self.field.reduce
-        out: dict[Monomial, object] = {}
+        out: dict[tuple, object] = {}
 
-        def add(m: Monomial, c) -> None:
+        def add(m: tuple, c) -> None:
             acc = out.get(m)
             total = red(c if acc is None else acc + c)
             if total:
@@ -446,38 +446,31 @@ class LeavittAlgebra(_Value):
         for m, c in raw.items():
             if not c:
                 continue
-            (u, a, _), (w, b, _) = m
-            v = None
+            u, a, w, b = m
             while a and b and a[-1] == b[-1] and a[-1] in special:
                 e, a, b = a[-1], a[:-1], b[:-1]
-                v = g.source_of(e)
-                for f in g.out_edges(v):
+                m = u, a, w, b
+                for f in g.out_edges(g.source_of(e)):
                     if f != e:
-                        t = g.target_of(f)
-                        add(Monomial(Path(u, a + (f,), t), Path(w, b + (f,), t)), -c)
-            add(m if v is None else Monomial(Path(u, a, v), Path(w, b, v)), c)
+                        add((u, a + (f,), w, b + (f,)), -c)
+            add(m, c)
         return out
 
-    def _monomial_product(self, m1: Monomial, m2: Monomial) -> Monomial | None:
-        """Raw product of two monomials, or None when it collapses to zero.
+    def _monomial_product(self, m1: tuple, m2: tuple) -> tuple | None:
+        """Raw product of two monomial keys, or None when it collapses to zero.
 
         Nonzero exactly when one of the inner paths is a continuation of the
         other; the overlap telescopes away.
         """
-        q, p2 = m1.right, m2.left
-        nq, np2 = len(q.edges), len(p2.edges)
-        if np2 >= nq:
-            if p2.source == q.source and p2.edges[:nq] == q.edges:
-                return Monomial(
-                    Path(m1.left.source, m1.left.edges + p2.edges[nq:], p2.target),
-                    m2.right,
-                )
-        else:
-            if q.source == p2.source and q.edges[:np2] == p2.edges:
-                return Monomial(
-                    m1.left,
-                    Path(m2.right.source, m2.right.edges + q.edges[np2:], q.target),
-                )
+        (u, p1, w, q), (u2, p2, w2, q2) = m1, m2
+        n, n2 = len(q), len(p2)
+        if w != u2:
+            return None
+        if n2 >= n:
+            if p2[:n] == q:
+                return u, p1 + p2[n:], w2, q2
+        elif q[:n2] == p2:
+            return u, p1, w2, q2 + q[n2:]
         return None
 
     def monomial_key(self, m: Monomial):
@@ -515,7 +508,7 @@ class LeavittAlgebra(_Value):
             except ValueError as exc:
                 raise ElementSyntaxError(str(exc)) from exc
 
-        raw: dict[Monomial, object] = {}
+        raw: dict[tuple, object] = {}
         pos = 0
         while pos < len(text):
             t = re.compile(_TERM).match(text, pos)
@@ -535,7 +528,7 @@ class LeavittAlgebra(_Value):
                     raise ElementSyntaxError(
                         f"paths must share a range vertex: [{left}] ends at {left.target!r}, [{right}] at {right.target!r}"
                     )
-            mono = Monomial(left, right)
-            raw[mono] = raw.get(mono, 0) + (-coeff if t["sign"] == "-" else coeff)
+            key = left.source, left.edges, right.source, right.edges
+            raw[key] = raw.get(key, 0) + (-coeff if t["sign"] == "-" else coeff)
             pos = t.end()
         return Element(self, self._normal_form(raw))

@@ -12,17 +12,18 @@ validate the construction.  It works on plain tuples of names: a candidate
 graph keeps.  The rows are built one edge at a time from two buckets, the
 candidates m by source and under each edge e with m e != 0, each keyed by
 its output (left source, left edges, right source, right edges) and written
-by one-edge rules that emit basic terms only; the edge stars need no rows.  A
-``Monomial`` is built only for a term of a returned element.  Most rows
-force their column to zero and are dropped as the edge is done;
-``_nullspace`` starts from those.
+by one-edge rules that emit basic terms only; the edge stars need no rows.
+Most rows force their column to zero and are dropped as the edge is done;
+``_nullspace`` starts from those.  Both sides key each term of an element
+as ``Element`` does, by that flat (left source, left edges, right source,
+right edges) tuple, so neither builds a ``Path`` or a ``Monomial``.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, Path, _Value
+from .graph import Graph, _Value
 from .hereditary import _arrival_region, _arrivals, center_structure
-from .algebra import AlgebraMismatchError, Element, LeavittAlgebra, Monomial
+from .algebra import AlgebraMismatchError, Element, LeavittAlgebra
 
 __all__ = [
     "idempotent",
@@ -53,17 +54,17 @@ def idempotent(algebra: LeavittAlgebra, ws) -> Element:
     g, field = algebra.graph, algebra.field
     W, below = _arrival_region(g, ws)
     coeff = dict.fromkeys(W, 1)  # c_v for every v that reaches W
-    tails = dict.fromkeys(W, ())  # the terms c [a][a] of N_v with |a| >= 1, as (a, c)
+    tails = dict.fromkeys(W, ())  # the terms c [a][a] of N_v with |a| >= 1, as (a's edges, c)
     for v in below:
         cv = coeff[v] = coeff.get(g.target_of(algebra.specialization[v]), 0)
         acc = tails[v] = []
         for f in g.out_edges(v):
             t = g.target_of(f)
-            acc.extend((Path(v, (f,) + a.edges, a.target), c) for a, c in tails.get(t, ()))
+            acc.extend(((f,) + a, c) for a, c in tails.get(t, ()))
             if diff := coeff.get(t, 0) - cv:
-                acc.append((Path(v, (f,), t), field.reduce(diff)))
-    terms = {Monomial(p, p): field.one for p in (Path(v, (), v) for v, cv in coeff.items() if cv)}
-    terms.update((Monomial(a, a), c) for acc in tails.values() for a, c in acc)
+                acc.append(((f,), field.reduce(diff)))
+    terms = {(v, (), v, ()): field.one for v, cv in coeff.items() if cv}
+    terms.update(((v, a, v, a), c) for v, acc in tails.items() for a, c in acc)
     return Element(algebra, terms)
 
 
@@ -102,9 +103,9 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
         k = abs(d) // c.length
         rot = {v: (c.edges[i:] + c.edges[:i]) * k for i, v in enumerate(c.sources)}
         terms = {}
-        for p in _arrivals(algebra.graph, c.vertex_set):
-            lifted = Path(p.source, p.edges + rot[p.target], p.target)
-            terms[Monomial(lifted, p) if d > 0 else Monomial(p, lifted)] = one
+        for u, p, r in _arrivals(algebra.graph, c.vertex_set):
+            lifted = p + rot[r]
+            terms[(u, lifted, u, p) if d > 0 else (u, p, u, lifted)] = one
         elements.append(Element(algebra, terms))
         provenance.append(f"cycle {c} to the power {k}")
     return CentralBasis(d, tuple(elements), tuple(provenance))
@@ -329,8 +330,9 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     out-edge of a vertex q), and ``_generator_rows`` builds the rows one
     edge at a time.  Each one-entry row forces its column and is dropped;
     only longer rows are kept for ``_nullspace``.  Rows hold the ints 1 and
-    -1, which ``_row_reduce`` reduces into the field, and a ``Monomial`` is
-    built only for a term of a returned element.
+    -1, which ``_row_reduce`` reduces into the field.  A kernel vector's
+    candidate (u, p, q, r) becomes the element term (u, p, u, q), with no
+    ``Path`` or ``Monomial`` built.
     """
     g, field = algebra.graph, algebra.field
     outs, special = g._out, algebra.specialization.special_edges
@@ -356,8 +358,7 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     elements = []
     for vec in _nullspace(kept, len(candidates), field, forced):
         picked = ((candidates[i], c) for i, c in vec.items())
-        terms = {Monomial(Path(u, p, r), Path(u, q, r)): c for (u, p, q, r), c in picked}
-        elements.append(Element(algebra, terms))
+        elements.append(Element(algebra, {(u, p, u, q): c for (u, p, q, r), c in picked}))
     return elements
 
 

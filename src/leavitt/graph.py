@@ -78,7 +78,12 @@ class Path(namedtuple("Path", ("source", "edges", "target"))):
         return len(self.edges)
 
     def __str__(self) -> str:
-        return " ".join(self.edges) if self.edges else "@" + self.source
+        return _path_text(self.source, self.edges)
+
+
+def _path_text(source: str, edges: tuple) -> str:
+    """A path's text: its edge ids, or ``@v`` for the length-0 path at v."""
+    return " ".join(edges) if edges else "@" + source
 
 
 class _Value:
@@ -157,6 +162,15 @@ def _edge_triple(item) -> tuple:
     or anything else that is not a sequence of three items is refused."""
     if isinstance(item, str) or not isinstance(item, Sequence) or len(item) != 3:
         raise GraphSyntaxError(f"expected an edge (id, source, target), not {item!r}")
+    return tuple(item)
+
+
+def _choice_pair(item) -> tuple:
+    """A specialization choice given as a (vertex id, edge id) tuple or list;
+    anything else, a string included, is refused.  The types are concrete, as
+    an abstract ``Sequence`` check per choice is slow."""
+    if not (isinstance(item, (tuple, list)) and len(item) == 2 and isinstance(item[0], str) and isinstance(item[1], str)):
+        raise GraphSyntaxError(f"expected a specialization choice (vertex, edge), not {item!r}")
     return tuple(item)
 
 
@@ -332,14 +346,16 @@ class Specialization(_Value):
     normal form in the algebra.  The field ``choices`` holds the (vertex,
     edge) pairs in vertex declaration order; the constructor takes them as
     such pairs, which pickle and copy pass it, or as a mapping from vertex
-    to edge.
+    to edge, and refuses anything else before it looks up an id.
     """
 
     __match_args__ = ("graph", "choices")
     __slots__ = __match_args__ + ("_edge_at", "special_edges")
 
     def __init__(self, graph: Graph, choices: Mapping[str, str] | Iterable[tuple[str, str]]):
-        choices = dict(choices)
+        if isinstance(choices, str) or not isinstance(choices, Iterable):
+            raise GraphSyntaxError(f"expected specialization choices as (vertex, edge) pairs or a mapping, not {choices!r}")
+        choices = dict(map(_choice_pair, choices.items() if isinstance(choices, Mapping) else choices))
         non_sinks = {v for v in graph.vertices if graph.out_edges(v)}
         if set(choices) != non_sinks:
             missing = non_sinks - set(choices)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import leavitt
+import leavitt.algebra
 from leavitt import (
     LeavittAlgebra,
     finitary_boolean_subalgebra,
@@ -79,6 +80,26 @@ def test_idempotents_products_grow_with_the_nonzero_ones(tmp_path, capsys, monke
         assert code == 0 and "finitary annihilator subsets: 2\n" in out, (out[:80], err)
         counts.append(len(calls))
     assert 0 < counts[0] and counts[1] <= 5 * counts[0], counts
+
+
+def test_commands_build_no_monomial(capsys, monkeypatch):
+    # elements key their terms by flat tuples and the report text is read off
+    # those keys, so no command, text or JSON, builds a Monomial
+    built = []
+    monomial = leavitt.algebra.Monomial
+    original = monomial.__new__
+    monkeypatch.setattr(monomial, "__new__", lambda cls, *args: built.append(args) or original(cls, *args))
+    runs = 0
+    for name in sorted(p.stem for p in FIXTURES_DIR.glob("*.lpa")):
+        for argv in (["analyze"], ["center", "--degree", "0"], ["verify"], ["idempotents"]):
+            for extra in ((), ("--json",)):
+                code, out, err = run(capsys, argv[0], fx(name), *argv[1:], *extra)
+                assert code == 0 and out and not err, (name, argv, extra, err)
+                runs += 1
+    assert runs == 48 and built == [], (runs, len(built))
+    # the counter does count: listing an element's terms builds its monomials
+    LeavittAlgebra(parse_graph(pathlib.Path(fx("g1")).read_text())).one().terms()
+    assert built
 
 
 def test_analyze_text_output(capsys):

@@ -250,6 +250,29 @@ def test_specialization_validation(g2):
         Specialization(g, {"x": "h", "y": "h"})  # h does not start at x
 
 
+def test_specialization_refuses_malformed_choices():
+    # like a bad id given to Graph, a malformed choice is refused with the
+    # package's own error, naming the specialization, before any id is looked up
+    g = parse_graph("vertex v\nedge x v v\n")
+    for choices in ("ve", "", 5, None):
+        message = f"^expected specialization choices as \\(vertex, edge\\) pairs or a mapping, not {re.escape(repr(choices))}$"
+        with pytest.raises(GraphSyntaxError, match=message):
+            Specialization(g, choices)
+    for choices, item in [
+        ({"v": ["x"]}, ("v", ["x"])),
+        ({1: "x"}, (1, "x")),
+        ({"v": None}, ("v", None)),
+        ([("v",)], ("v",)),
+        (["vx"], "vx"),
+        ([("v", "x", "x")], ("v", "x", "x")),
+        ([5], 5),
+    ]:
+        message = f"^expected a specialization choice \\(vertex, edge\\), not {re.escape(repr(item))}$"
+        with pytest.raises(GraphSyntaxError, match=message):
+            Specialization(g, choices)
+    assert Specialization(g, [["v", "x"]]) == Specialization(g, {"v": "x"}) == Specialization(g, (("v", "x"),))
+
+
 def test_graph_value_semantics():
     a = parse_graph("vertex v\nedge e v v\n")
     b = parse_graph("vertex v\nedge e v v\n")

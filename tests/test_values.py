@@ -19,6 +19,7 @@ from leavitt import (
     CentralBasis,
     ClassSummand,
     Cycle,
+    Element,
     FiniteArrivals,
     Graph,
     InfiniteArrivals,
@@ -238,3 +239,24 @@ def test_reprs_of_the_central_types():
         "LeavittAlgebra(graph=Graph(2 vertices, 2 edges), specialization=Specialization(graph=Graph(2 vertices, 2 edges), "
         "choices=(('v', 'c'),)), field=PrimeField(p=7))"
     )
+
+
+def test_elements_are_immutable_unhashable_values():
+    # an element is a value of its algebra and its term dict: it refuses
+    # assignment and deletion, compares by value, is unhashable like the
+    # dict it holds, and survives pickle and copy
+    alg = LeavittAlgebra(G)
+    el = alg.parse_element("2*[c][c] - [g][@w] + w")
+    for name in ("algebra", "_terms", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(el, name, None)
+        with pytest.raises(AttributeError):
+            delattr(el, name)
+    assert el == alg.parse_element("w - [g][@w] + 2*[c][c]") and str(el) == "2*v+w-[g][@w]-2*[g][g]"
+    assert el != alg.zero() and el != str(el) and el != Element(LeavittAlgebra(G, field=PrimeField(7)), el._terms)
+    with pytest.raises(TypeError, match="unhashable type: 'Element'"):
+        hash(el)
+    assert repr(el) == "Element(2*v+w-[g][@w]-2*[g][g])"
+    assert Element.__match_args__ == ("algebra", "_terms")
+    for y in (pickle.loads(pickle.dumps(el)), copy.copy(el), copy.deepcopy(el)):
+        assert type(y) is Element and y == el and repr(y) == repr(el)
