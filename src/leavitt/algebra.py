@@ -15,12 +15,11 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, compress, count
 from operator import ne
 
-from .graph import _IDENT, Graph, Path, Specialization, _Value, _path_text, canonical_specialization
+from .graph import _IDENT, Graph, Path, Specialization, _Value, canonical_specialization
 
 __all__ = [
     "Rationals",
@@ -72,8 +71,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _exact(q: Fraction):
-    """``q`` as an int when it is integral, else ``q`` itself."""
+def _exact(q):
+    """The ``Fraction`` ``q`` as an int when it is integral, else ``q`` itself."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -88,6 +87,7 @@ class Rationals(_Value):
     def coerce(self, x):
         if isinstance(x, int):
             return int(x)  # a bool becomes 0 or 1
+        from fractions import Fraction  # imported on first use, not with the module: most commands never divide
         if isinstance(x, Fraction):
             return _exact(x)
         raise TypeError(f"cannot coerce {x!r} to a rational scalar")
@@ -96,9 +96,11 @@ class Rationals(_Value):
         return x
 
     def inverse(self, x):
+        from fractions import Fraction
         return _exact(1 / Fraction(x))
 
     def parse_scalar(self, token: str):
+        from fractions import Fraction
         return _exact(Fraction(token))
 
 
@@ -123,6 +125,7 @@ class PrimeField(_Value):
     def coerce(self, x) -> int:
         if isinstance(x, int):
             return x % self.p
+        from fractions import Fraction
         if isinstance(x, Fraction):
             return x.numerator * self.inverse(x.denominator) % self.p
         raise TypeError(f"cannot coerce {x!r} into Z/{self.p}")
@@ -175,7 +178,7 @@ class Monomial(namedtuple("Monomial", ("left", "right"))):
 def _term_text(u: str, a: tuple, w: str, b: tuple) -> str:
     """The text of the monomial [a][b] with a from u and b from w: a vertex's
     id when both paths are that vertex, else both paths in brackets."""
-    return f"[{_path_text(u, a)}][{_path_text(w, b)}]" if a or b else u
+    return f"[{' '.join(a) if a else '@' + u}][{' '.join(b) if b else '@' + w}]" if a or b else u
 
 
 # element text: a bracket side is ``@v`` or edge ids; a term is a separator
@@ -183,10 +186,10 @@ def _term_text(u: str, a: tuple, w: str, b: tuple) -> str:
 # optional ``*``, then two bracket sides or a bare vertex id.  No two ``\s*``
 # are adjacent, so a failed match backtracks in linear time.  ``re`` compiles
 # them on first use and caches them: the CLI never parses elements.
-_SIDE = rf"\s*(?:(?:@(?P<vertex>{_IDENT.pattern})|(?P<edges>{_IDENT.pattern}(?:\s+{_IDENT.pattern})*))\s*)?"
+_SIDE = rf"\s*(?:(?:@(?P<vertex>{_IDENT})|(?P<edges>{_IDENT}(?:\s+{_IDENT})*))\s*)?"
 _TERM = (
     rf"\s*(?:(?P<sign>[+-])\s*)?(?:(?P<coeff>[+-]?\d+(?:/\d+)?)\s*(?:\*\s*)?)?"
-    rf"(?:\[(?P<left>[^\]]*)\]\s*\[(?P<right>[^\]]*)\]|(?P<vertex>{_IDENT.pattern}))\s*"
+    rf"(?:\[(?P<left>[^\]]*)\]\s*\[(?P<right>[^\]]*)\]|(?P<vertex>{_IDENT}))\s*"
 )
 
 
@@ -337,7 +340,11 @@ class Element(_Value):
     def __str__(self) -> str:
         parts = []
         for key, c in self._sorted_terms():
-            cs, m = str(c), _term_text(*key)
+            m = _term_text(*key)
+            if c == 1:  # most coefficients; the text of any scalar equal to 1 is "1"
+                parts.append("+" + m)
+                continue
+            cs = str(c)
             sign, cs = ("-", cs[1:]) if cs.startswith("-") else ("+", cs)
             parts.append(f"{sign}{m}" if cs == "1" else f"{sign}{cs}*{m}")
         return "".join(parts).removeprefix("+") or "0"

@@ -4,7 +4,10 @@ The constructive side writes each central idempotent, the sum of [p][p]
 over the arrival paths p into a finitary hereditary subset, straight in
 normal form in one pass over the vertices that reach it, successors first,
 and each graded basis element as the sum of [p rot^k][p] over the arrival
-paths p into an exit-free cycle.
+paths p into an exit-free cycle.  ``center_basis`` and ``oracle_bound``
+take those vertices from the graph's index (``hereditary._Index``), which
+finds every summand's in one pass; only ``idempotent``, which takes any
+subset, checks it and searches its arrival region.
 ``brute_force_center`` knows none of that theory: it solves the linear
 commutation constraints directly over the monomial basis and is used to
 validate the construction.  It works on plain tuples of names: a candidate
@@ -22,7 +25,7 @@ right edges) tuple, so neither builds a ``Path`` or a ``Monomial``.
 from __future__ import annotations
 
 from .graph import Graph, _Value
-from .hereditary import _arrival_region, _arrivals, center_structure
+from .hereditary import _arrival_ends, _arrival_region, _structure
 from .algebra import AlgebraMismatchError, Element, LeavittAlgebra
 
 __all__ = [
@@ -41,31 +44,40 @@ def idempotent(algebra: LeavittAlgebra, ws) -> Element:
     """Central idempotent of a finitary annihilator subset W: the sum of
     p p^* over the arrival paths p into W, written straight in normal form.
 
-    One pass over the vertices that reach W, successors first, gives N_v,
-    the sum over the arrival paths from v; c_u is the coefficient of u in
-    N_u, and 0 when u does not reach W.  N_w = w on W.  Off W, with e the
-    special edge at v, c_v = c_t(e) and N_v is c_v v, plus c [f a][f a] for
-    each out-edge f and term c [a][a] of N_t(f) with |a| >= 1, plus
-    (c_t(g) - c_v) [g][g] for each out-edge g, which is 0 for g = e.  That
-    is the sum of f N_t(f) f^* with its one non-basic term, c_t(e) [e][e],
-    rewritten by the vertex relation [e][e] = v - sum of [g][g] over g != e;
-    [f a][f a] keeps a's last edge, and no two terms are one monomial.
+    W is checked and its arrival region searched (``_arrival_region``); the
+    terms are then those of ``_idempotent_terms``.
     """
-    g, field = algebra.graph, algebra.field
-    W, below = _arrival_region(g, ws)
+    return Element(algebra, _idempotent_terms(algebra, *_arrival_region(algebra.graph, ws)))
+
+
+def _idempotent_terms(algebra: LeavittAlgebra, W, below) -> dict:
+    """The terms of the idempotent of W, given the vertices ``below`` that
+    reach W from outside, successors first.
+
+    One pass over them gives N_v, the sum over the arrival paths from v; c_u
+    is the coefficient of u in N_u, and 0 when u does not reach W.  N_w = w
+    on W.  Off W, with e the special edge at v, c_v = c_t(e) and N_v is
+    c_v v, plus c [f a][f a] for each out-edge f and term c [a][a] of
+    N_t(f) with |a| >= 1, plus (c_t(g) - c_v) [g][g] for each out-edge g,
+    which is 0 for g = e.  That is the sum of f N_t(f) f^* with its one
+    non-basic term, c_t(e) [e][e], rewritten by the vertex relation
+    [e][e] = v - sum of [g][g] over g != e; [f a][f a] keeps a's last edge,
+    and no two terms are one monomial.
+    """
+    g, reduce, one = algebra.graph, algebra.field.reduce, algebra.field.one
+    out, dst, special = g._out, g._dst, algebra.specialization._edge_at
     coeff = dict.fromkeys(W, 1)  # c_v for every v that reaches W
     tails = dict.fromkeys(W, ())  # the terms c [a][a] of N_v with |a| >= 1, as (a's edges, c)
     for v in below:
-        cv = coeff[v] = coeff.get(g.target_of(algebra.specialization[v]), 0)
+        cv = coeff[v] = coeff.get(dst[special[v]], 0)
         acc = tails[v] = []
-        for f in g.out_edges(v):
-            t = g.target_of(f)
+        for f in out[v]:
+            t = dst[f]
             acc.extend(((f,) + a, c) for a, c in tails.get(t, ()))
             if diff := coeff.get(t, 0) - cv:
-                acc.append(((f,), field.reduce(diff)))
-    terms = {(v, (), v, ()): field.one for v, cv in coeff.items() if cv}
-    terms.update(((v, a, v, a), c) for v, acc in tails.items() for a, c in acc)
-    return Element(algebra, terms)
+                acc.append(((f,), reduce(diff)))
+    terms = {(v, (), v, ()): one for v, cv in coeff.items() if cv}
+    return terms | {(v, a, v, a): c for v, acc in tails.items() for a, c in acc}
 
 
 class CentralBasis(_Value):
@@ -88,39 +100,37 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
     computed by the algebra's products, with z the sum of c's rotations,
     starred for d < 0, term for term.  Every term is basic: its left side
     ends with a cycle edge and its right side does not.  The index built c
-    with no exit, so nothing is re-checked.
+    with no exit and hands down each support, its arrival region and the
+    vertices above each cycle, successors first, so nothing is re-checked
+    or searched again, and the arrival paths are listed as edge tuples.
     """
+    g, idx = algebra.graph, _structure(algebra.graph)
     elements: list[Element] = []
     provenance: list[str] = []
     if d == 0:
-        for s in center_structure(algebra.graph).summands:
-            elements.append(idempotent(algebra, s.support))
-            sup = "{" + ",".join(algebra.graph.sorted_vertices(s.support)) + "}"
-            provenance.append(f"idempotent of {sup}")
+        for W, below, _, _ in idx.arrivals():
+            elements.append(Element(algebra, _idempotent_terms(algebra, W, below)))
+            provenance.append("idempotent of {" + ",".join(W) + "}")
         return CentralBasis(0, tuple(elements), tuple(provenance))
     one = algebra.field.one
-    for c in _lifted_cycles(algebra.graph, d):
+    for _, _, c, above in idx.arrivals():
+        if c is None or d % c.length:
+            continue
         k = abs(d) // c.length
         rot = {v: (c.edges[i:] + c.edges[:i]) * k for i, v in enumerate(c.sources)}
-        terms = {}
-        for u, p, r in _arrivals(algebra.graph, c.vertex_set):
-            lifted = p + rot[r]
-            terms[(u, lifted, u, p) if d > 0 else (u, p, u, lifted)] = one
-        elements.append(Element(algebra, terms))
+        ends = _arrival_ends(g, c.sources, above)
+        lifted = ((u, p, p + rot[r]) for u, paths in ends.items() for p, r in paths)
+        elements.append(Element(algebra, {(u, q, u, p) if d > 0 else (u, p, u, q): one for u, p, q in lifted}))
         provenance.append(f"cycle {c} to the power {k}")
     return CentralBasis(d, tuple(elements), tuple(provenance))
 
 
-def _lifted_cycles(graph: Graph, d: int) -> list:
-    """The cycles of the Laurent summands whose length divides d != 0: each
-    gives one basis element of the degree-d piece of the center."""
-    return [s.cycle for s in center_structure(graph).summands if s.cycle is not None and d % s.cycle.length == 0]
-
-
 def center_dimension_predicted(graph: Graph, d: int) -> int:
     """Dimension of the degree-d piece of the center, from the structure
-    of the finitary annihilator algebra alone."""
-    return len(center_structure(graph).summands) if d == 0 else len(_lifted_cycles(graph, d))
+    of the finitary annihilator algebra alone: one per class at degree 0,
+    else one per Laurent summand whose cycle length divides d."""
+    cycles = _structure(graph).cycles
+    return len(cycles) if d == 0 else sum(c is not None and d % c.length == 0 for c in cycles)
 
 
 def oracle_bound(graph: Graph, d: int) -> int:
@@ -131,13 +141,16 @@ def oracle_bound(graph: Graph, d: int) -> int:
     summand's support or a Laurent cycle's vertex set.  Any arrival path
     into a Laurent support extends, along a shortest path into the cycle,
     to one at least as long into the cycle, so the support needs no search
-    of its own.  One pass over each arrival region, successors first, finds
-    the longest arrival path from each vertex, with none listed.  The extra
-    slack leaves room for the oracle to notice elements just past the boundary.
+    of its own.  The index hands down each support's arrival region and
+    the vertices above each cycle, successors first, so no arrival search
+    runs: one pass over each region finds the longest arrival path from
+    each vertex, with none listed.  The extra slack leaves room for the
+    oracle to notice elements just past the boundary.
     """
     base = 0
-    for s in center_structure(graph).summands:
-        W, below = _arrival_region(graph, s.support if s.cycle is None else s.cycle.vertex_set)
+    for W, below, c, above in _structure(graph).arrivals():
+        if c is not None:
+            W, below = c.sources, above
         depth = dict.fromkeys(W, 0)
         for v in below:
             depth[v] = 1 + max(depth.get(graph.target_of(f), -1) for f in graph.out_edges(v))

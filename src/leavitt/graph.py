@@ -29,7 +29,17 @@ __all__ = [
     "NotACycleError",
 ]
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# an id; ``re`` compiles this pattern and ``_LINE`` on first use, not at import
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# one line of the graph format and its line end: group 1 is a vertex id,
+# groups 2-4 an edge's ids, group 5 any other text that is not blank or a
+# comment.  ``[^\S\r\n]`` is the whitespace ``str.split`` splits at, short of
+# a line end.  No line end is optional but the end of the text, so the
+# matches of a text are its lines, and the last may be empty.
+_LINE = (
+    r"[^\S\r\n]*(?:vertex[^\S\r\n]+({id})|edge[^\S\r\n]+({id})[^\S\r\n]+({id})[^\S\r\n]+({id})|#[^\r\n]*)?"
+    r"[^\S\r\n]*(?:\r\n|\r|\n|\Z)|([^\r\n]+)(?:\r\n|\r|\n|\Z)"
+).replace("{id}", _IDENT)
 
 
 class GraphError(ValueError):
@@ -78,12 +88,8 @@ class Path(namedtuple("Path", ("source", "edges", "target"))):
         return len(self.edges)
 
     def __str__(self) -> str:
-        return _path_text(self.source, self.edges)
-
-
-def _path_text(source: str, edges: tuple) -> str:
-    """A path's text: its edge ids, or ``@v`` for the length-0 path at v."""
-    return " ".join(edges) if edges else "@" + source
+        """Its edge ids, or ``@v`` for the length-0 path at v."""
+        return " ".join(self.edges) if self.edges else "@" + self.source
 
 
 class _Value:
@@ -153,7 +159,7 @@ class Cycle(_Value):
 
 
 def _check_ident(x: str, line: int | None = None) -> None:
-    if not isinstance(x, str) or not _IDENT.fullmatch(x):
+    if not isinstance(x, str) or not re.fullmatch(_IDENT, x):
         raise GraphSyntaxError(f"invalid identifier {x!r}", line)
 
 
@@ -369,7 +375,13 @@ class Specialization(_Value):
         for v, e in choices.items():
             if graph.source_of(e) != v:
                 raise ValueError(f"edge {e!r} does not start at {v!r}")
-        super().__init__(graph, tuple([(v, choices[v]) for v in graph.vertices if v in choices]))
+        self._init(graph, {v: choices[v] for v in graph.vertices if v in choices})
+
+    def _init(self, graph: Graph, choices: dict[str, str]) -> None:
+        """Set up a specialization from the checked choices of ``__init__``
+        or the graph's own first edges (``canonical_specialization``): one
+        out-edge per non-sink vertex, keyed in vertex declaration order."""
+        super().__init__(graph, tuple(choices.items()))
         object.__setattr__(self, "_edge_at", choices)
         object.__setattr__(self, "special_edges", frozenset(choices.values()))
 
@@ -387,40 +399,39 @@ def parse_graph(text: str) -> Graph:
     Blank lines are ignored.  Lines end at LF, CRLF or CR only (the newlines
     ``open()`` translates), so errors carry 1-based physical line numbers.
     The rules are those of the ``Graph`` constructor, checked here once each,
-    so the graph is built without the constructor's second pass.
+    so the graph is built without the constructor's second pass.  One pattern
+    reads every line (``_LINE``), and only a line it refuses is split into
+    tokens, whose rules then name the fault.
     """
     vindex: dict[str, int] = {}  # id -> declaration index, as the graph keeps it
     eindex: dict[str, int] = {}
     edges: list[tuple[str, str, str]] = []
     pending: list[tuple[int, str]] = []  # endpoints not declared before their edge
-    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "vertex":
-            if len(tokens) != 2:
-                raise GraphSyntaxError("expected 'vertex <id>'", lineno)
-            vid = tokens[1]
-            _check_ident(vid, lineno)
+    # each match is one line, its end included, so matches count the lines
+    for lineno, (vid, eid, src, dst, other) in enumerate(re.findall(_LINE, text), start=1):
+        if vid:
             if vid in vindex:
                 raise DuplicateIdError(f"duplicate vertex id {vid!r}", lineno)
             vindex[vid] = len(vindex)
-        elif tokens[0] == "edge":
-            if len(tokens) != 4:
-                raise GraphSyntaxError("expected 'edge <id> <src-vertex> <dst-vertex>'", lineno)
-            eid, src, dst = tokens[1:]
-            _check_ident(eid, lineno)
-            for v in (src, dst):
-                if v not in vindex:  # a declared vertex passed this check on its own line
-                    _check_ident(v, lineno)
-                    pending.append((lineno, v))
+        elif eid:
+            if src not in vindex:
+                pending.append((lineno, src))
+            if dst not in vindex:
+                pending.append((lineno, dst))
             if eid in eindex:
                 raise DuplicateIdError(f"duplicate edge id {eid!r}", lineno)
             eindex[eid] = len(eindex)
             edges.append((eid, src, dst))
-        else:
-            raise GraphSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
+        elif other:  # a line the pattern refuses: the token rules name its fault
+            tokens = other.split()
+            form = {"vertex": "vertex <id>", "edge": "edge <id> <src-vertex> <dst-vertex>"}.get(tokens[0])
+            if form is None:
+                raise GraphSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
+            if len(tokens) != len(form.split()):
+                raise GraphSyntaxError(f"expected {form!r}", lineno)
+            for x in tokens[1:]:
+                _check_ident(x, lineno)
+            raise AssertionError(f"line {lineno}: a well-formed line escaped the line pattern")
     for lineno, v in pending:
         if v not in vindex:
             raise UnknownVertexError(f"unknown vertex {v!r}", lineno)
@@ -443,5 +454,8 @@ def is_ne_cycle(g: Graph, c: Cycle) -> bool:
 
 
 def canonical_specialization(g: Graph) -> Specialization:
-    """The default specialization: the first declared outgoing edge at each non-sink."""
-    return Specialization(g, {v: g.out_edges(v)[0] for v in g.vertices if g.out_edges(v)})
+    """The default specialization: the first declared outgoing edge at each
+    non-sink.  The graph made these choices, so none is checked again."""
+    spec = Specialization.__new__(Specialization)
+    spec._init(g, {v: es[0] for v, es in g._out.items() if es})
+    return spec

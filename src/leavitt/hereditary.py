@@ -10,8 +10,13 @@ components (SCCs) of the graph, so each graph computes its SCCs once, on
 first use, and keeps them with the facts derived from them (``_Index``).
 The SCCs and their condensation come from Kosaraju's two sweeps, in
 topological order.  One pass in reverse order then gives each SCC the set
-of minimal sets it reaches, and the classes and their supports are read off
-those sets: all vertices of an SCC reach exactly the same minimal sets.
+of minimal sets it reaches, and the classes, their supports and which of
+them are finitary are read off those sets: all vertices of an SCC reach
+exactly the same minimal sets.  The same sets give each summand its arrival
+region and, for a Laurent summand, the vertices above its cycle, which the
+index hands to the center module, so that no summand is checked or searched
+again.  Vertex bitsets are built only for the calls that take an arbitrary
+subset.
 """
 
 from __future__ import annotations
@@ -123,7 +128,7 @@ def _members(g: Graph, mask: int) -> frozenset[str]:
 def perp(g: Graph, ws: Iterable[str]) -> frozenset[str]:
     """Vertices with no path into the subset (the annihilator complement)."""
     W, _ = _as_vertex_set(g, ws)
-    return _members(g, ~_index(g).reach(W))
+    return _members(g, ~_index(g).reach(g, W))
 
 
 def is_finitary(g: Graph, ws: Iterable[str]) -> bool:
@@ -133,7 +138,7 @@ def is_finitary(g: Graph, ws: Iterable[str]) -> bool:
     """
     W, mask = _require_hereditary(g, ws)
     idx = _index(g)
-    return not idx.reach(W) & ~mask & idx.cyclic
+    return not idx.reach(g, W) & ~mask & idx.bitsets(g)[2]
 
 
 def _shortest_path(g: Graph, start: str, goal: Iterable[str]) -> Path:
@@ -163,8 +168,8 @@ def _arrival_region(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], list[s
     successors first; NotFinitaryError when a cycle lies among the latter."""
     W, mask = _require_hereditary(g, ws)
     idx = _index(g)
-    outside = idx.reach(W) & ~mask
-    looping = outside & idx.cyclic
+    outside = idx.reach(g, W) & ~mask
+    looping = outside & idx.bitsets(g)[2]
     if looping:
         # shortest cycle through the first-declared cycle vertex outside W
         v = g.vertices[(looping & -looping).bit_length() - 1]
@@ -173,15 +178,21 @@ def _arrival_region(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], list[s
     return W, sorted(_members(g, outside), key=idx.comp_of.__getitem__, reverse=True)
 
 
+def _arrival_ends(g: Graph, W: Iterable[str], below: Iterable[str]) -> dict[str, list[tuple[tuple[str, ...], str]]]:
+    """The arrival paths into W from each vertex that reaches it, as (edges,
+    range) pairs, given the vertices ``below`` outside W that reach it,
+    successors first: a path from v is an out-edge e of v and a path from
+    the target of e."""
+    out, dst = g._out, g._dst
+    ends = {w: [((), w)] for w in W}
+    for v in below:
+        ends[v] = [((e,) + p, r) for e in out[v] for p, r in ends.get(dst[e], ())]
+    return ends
+
+
 def _arrivals(g: Graph, ws: Iterable[str]) -> list[Path]:
     """The arrival paths into the subset, unsorted; NotFinitaryError if infinite."""
-    W, below = _arrival_region(g, ws)
-    tails = dict.fromkeys(W, ((),))  # the edge sequences of the arrival paths from each vertex
-    paths = [g.vertex_path(w) for w in W]
-    for v in below:
-        tails[v] = [(e,) + rest for e in g.out_edges(v) for rest in tails.get(g.target_of(e), ())]
-        paths.extend(Path(v, seq, g.target_of(seq[-1])) for seq in tails[v])
-    return paths
+    return [Path(v, p, r) for v, ends in _arrival_ends(g, *_arrival_region(g, ws)).items() for p, r in ends]
 
 
 def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArrivals:
@@ -199,29 +210,32 @@ def arrival_paths(g: Graph, ws: Iterable[str]) -> FiniteArrivals | InfiniteArriv
     return FiniteArrivals(tuple(paths))
 
 
-def _strong_components(g: Graph) -> tuple[list[frozenset[str]], dict[str, int], list[set[int]]]:
-    """Kosaraju's two sweeps: the SCCs in topological order, each vertex's
-    SCC, and each SCC's successors, itself exactly when it holds a cycle.
+def _strong_components(g: Graph) -> tuple[list[list[str]], dict[str, int], list[set[int]]]:
+    """Kosaraju's two sweeps: the SCCs in topological order, each as the
+    list of its vertices, each vertex's SCC, and each SCC's successors,
+    itself exactly when it holds a cycle.
 
     In reverse order of finishing a depth-first search, each unplaced vertex
     lies in an SCC no other unplaced SCC reaches: its unplaced ancestors.
     The second sweep reads each edge once, as an in-edge of its target, whose
-    source is then placed in that SCC or an earlier one.
+    source is then placed in that SCC or an earlier one.  Both sweeps read
+    the graph's adjacency tables directly.
     """
+    out, dst, inc, src = g._out, g._dst, g._in, g._src
     finished: list[str] = []
     seen: set[str] = set()
     for root in g.vertices:
         if root in seen:
             continue
         seen.add(root)
-        work = [(root, iter(g.out_edges(root)))]
+        work = [(root, iter(out[root]))]
         while work:
             v, it = work[-1]
             for e in it:
-                t = g.target_of(e)
+                t = dst[e]
                 if t not in seen:
                     seen.add(t)
-                    work.append((t, iter(g.out_edges(t))))
+                    work.append((t, iter(out[t])))
                     break
             else:
                 work.pop()
@@ -234,13 +248,13 @@ def _strong_components(g: Graph) -> tuple[list[frozenset[str]], dict[str, int], 
         succs.append(set())
         comp = [root]
         for v in comp:  # grows while it is read
-            for e in g.in_edges(v):
-                s = g.source_of(e)
+            for e in inc[v]:
+                s = src[e]
                 if s not in comp_of:
                     comp_of[s] = i
                     comp.append(s)
                 succs[comp_of[s]].add(i)
-        comps.append(frozenset(comp))
+        comps.append(comp)
     return comps, comp_of, succs
 
 
@@ -248,88 +262,127 @@ class _Index:
     """The SCCs of one graph and the facts this module derives from them.
 
     SCC ``i`` is the ``i``-th in Kosaraju's topological order, before every
-    SCC it reaches.  Vertex sets are bitsets (see ``_as_vertex_set``), and
-    so are sets of minimal-set indexes.  One pass in reverse topological
-    order gives each SCC its mask, the minimal sets it reaches: the union of
-    its successors' masks.  An SCC's vertices reach exactly the minimal sets
-    in its mask, so the classes, their supports and every double annihilator
-    of a union of minimal sets are read off the distinct masks, with no
-    further search.
-    The index keeps only names, ints and frozensets: a reference back to the
-    graph would form a cycle that outlives the graph until the garbage
-    collector runs.
+    SCC it reaches.  Sets of minimal-set indexes are bitsets, bit j for the
+    j-th minimal set.  One pass in reverse topological order gives each SCC
+    its mask, the minimal sets it reaches: the union of its successors'
+    masks.  An SCC's vertices reach exactly the minimal sets in its mask, so
+    the classes, their supports and every double annihilator of a union of
+    minimal sets are read off the masks, with no further search.
+
+    The minimal sets that one cycle reaches fall into one class, and a
+    one-set class is finitary unless a cycle outside its set reaches it.
+    The support of a class holds the SCCs whose mask lies inside the class.
+    Its arrival region holds the SCCs whose mask meets the class and leaves
+    it, and the SCCs above a Laurent class's cycle are the others whose mask
+    holds its set; ``arrivals`` lists both for every summand in one pass.
+    Vertex bitsets, bit i for the vertex declared i-th, serve the functions
+    that take an arbitrary subset.  The regions, the bitsets and the
+    ``ClassSummand`` values are each built on first use.  The index keeps no
+    reference back to the graph: that would form a cycle that outlives the
+    graph until the garbage collector runs.
     """
 
     def __init__(self, g: Graph):
         comps, self.comp_of, succs = _strong_components(g)
-        bits = [0] * len(comps)
-        for k, v in enumerate(g.vertices):
-            bits[self.comp_of[v]] |= 1 << k
-        self.cyclic = 0  # vertices on a cycle
-        self.reach_into = bits[:]  # per SCC, the vertices with a path into it
-        loops = []  # the SCCs that hold a cycle
-        for i, below in enumerate(succs):
-            if i in below:
-                self.cyclic |= bits[i]
-                loops.append(i)
-                below.remove(i)
-            for j in below:
-                self.reach_into[j] |= self.reach_into[i]
-        # the lowest bit orders the sinks as their first-declared vertices do
-        sinks = sorted((i for i, below in enumerate(succs) if not below), key=lambda i: bits[i] & -bits[i])
-        self.minimal = tuple(comps[i] for i in sinks)
-        hits = [0] * len(comps)  # per SCC, the minimal sets it reaches
+        self.looped = {i for i, below in enumerate(succs) if i in below}  # the SCCs that hold a cycle
+        for i in self.looped:
+            succs[i].remove(i)
+        # the minimal sets, ordered as their first-declared vertices are
+        sinks = [i for _, i in sorted((min(map(g._vindex.__getitem__, comps[i])), i) for i, b in enumerate(succs) if not b)]
+        self.minimal = tuple(frozenset(comps[i]) for i in sinks)
+        hits = self.hits = [0] * len(comps)  # per SCC, the minimal sets it reaches
         for j, i in enumerate(sinks):
             hits[i] = 1 << j
         for i in range(len(comps) - 1, -1, -1):
             for j in succs[i]:
                 hits[i] |= hits[j]
-        self.by_mask: dict[int, int] = {}  # mask -> the vertices of the SCCs with it
-        for h, b in zip(hits, bits):
-            self.by_mask[h] = self.by_mask.get(h, 0) | b
-
-        # the minimal sets below one cyclic SCC fall into one class: cls[j] is
-        # the class of minimal set j, as a mask shared by all its members
-        cls = [1 << j for j in range(len(sinks))]
-        for h in {hits[i] for i in loops}:
+        # cls[j] is the class of minimal set j, as a mask shared by its members;
+        # cycled holds the minimal sets that a cycle outside them reaches
+        cls, cycled = [1 << j for j in range(len(sinks))], 0
+        for h in {hits[i] for i in self.looped if succs[i]}:
+            cycled |= h
             if h & ~cls[(h & -h).bit_length() - 1]:  # h spans two classes: merge
                 for j in _bit_indexes(h):
                     h |= cls[j]
                 for j in _bit_indexes(h):
                     cls[j] = h
-        self.classes = [_bit_indexes(c) for j, c in enumerate(cls) if c & -c == 1 << j]
-        # the support of a class holds the SCCs that reach no other minimal set
-        supports = dict.fromkeys(cls, 0)
-        for h, b in self.by_mask.items():
-            c = cls[(h & -h).bit_length() - 1]
-            if not h & ~c:
-                supports[c] |= b
-        summands = []
-        for members in self.classes:
-            i = sinks[members[0]]
-            finitary = not self.reach_into[i] & ~bits[i] & self.cyclic
-            cycle = _ne_cycle_covering(g, comps[i]) if len(members) == 1 and finitary else None
-            summands.append(ClassSummand(members, _members(g, supports[cls[members[0]]]), cycle))
-        self.summands = tuple(summands)
+        masks = list(dict.fromkeys(cls))  # each class once, in the order of its least member
+        self.classes = [(c.bit_length() - 1,) if c & c - 1 == 0 else _bit_indexes(c) for c in masks]
+        where = self.where = list(map({c: p for p, c in enumerate(masks)}.__getitem__, cls))  # each set's class
+        home = {}  # per mask, then per SCC, the position of the class whose support holds it, else -1
+        for h in set(hits):
+            j = (h & -h).bit_length() - 1
+            home[h] = -1 if h & ~cls[j] else where[j]
+        self.home = list(map(home.__getitem__, hits))
+        self.supports = [[] for _ in masks]  # each in declaration order
+        for v, p in zip(g.vertices, map(self.home.__getitem__, map(self.comp_of.__getitem__, g.vertices))):
+            if p >= 0:
+                self.supports[p].append(v)
+        # a one-set class is Laurent when it is finitary and one cycle covers its set
+        self.cycles = [None] * len(self.classes)  # per class, its Laurent cycle or None
+        for i in self.looped:
+            j = hits[i].bit_length() - 1
+            if not succs[i] and cls[j] == hits[i] and not cycled & hits[i]:
+                self.cycles[where[j]] = _ne_cycle_covering(g, comps[i])
+        self.names = [comp[0] for comp in comps]  # the one vertex of each SCC with no cycle
+        self._summands = self._arrivals = self._bitsets = None
 
-    def reach(self, W: Iterable[str]) -> int:
+    @property
+    def summands(self) -> tuple[ClassSummand, ...]:
+        """One summand per class, built on first use: ``center`` needs none."""
+        if self._summands is None:
+            self._summands = tuple(map(ClassSummand, self.classes, map(frozenset, self.supports), self.cycles))
+        return self._summands
+
+    def arrivals(self) -> tuple[tuple[list[str], list[str], Cycle | None, list[str] | None], ...]:
+        """Per class: its support in declaration order, its arrival region,
+        its Laurent cycle and the vertices outside that cycle that reach it,
+        or twice None.  Both lists run successors first, as
+        ``_arrival_region`` gives them: they are filled in one pass over the
+        SCCs, on the first call, with the lists each mask's SCCs go to."""
+        if self._arrivals is None:
+            regions = [[] for _ in self.cycles]
+            above = [[] if c is not None else None for c in self.cycles]
+            lists: dict[int, list] = {}  # mask -> the lists that take its SCCs
+            for i in range(len(self.home) - 1, -1, -1):
+                p, h = self.home[i], self.hits[i]
+                # an SCC in a support is listed only above a Laurent class's cycle
+                if p >= 0 and (above[p] is None or i in self.looped):
+                    continue
+                if (into := (above[p],) if p >= 0 else lists.get(h)) is None:
+                    qs = {self.where[j] for j in _bit_indexes(h)}
+                    into = lists[h] = [regions[q] for q in qs] + [above[q] for q in qs if above[q] is not None]
+                if i in self.looped:
+                    raise AssertionError("an arrival region holds a cycle")
+                for region in into:
+                    region.append(self.names[i])
+            self._arrivals = tuple(zip(self.supports, regions, self.cycles, above))
+        return self._arrivals
+
+    def bitsets(self, g: Graph) -> tuple[list[int], dict[int, int], int]:
+        """Vertex bitsets, built on the first call: per SCC the vertices with
+        a path (length >= 0) into it, per mask the vertices of the SCCs with
+        that mask, and the vertices on a cycle."""
+        if self._bitsets is None:
+            comp_of, bits = self.comp_of, [0] * len(self.hits)
+            for k, v in enumerate(g.vertices):
+                bits[comp_of[v]] |= 1 << k
+            reach_into = bits[:]
+            # along the edges between SCCs, each SCC before its successors
+            for i, j in sorted({(comp_of[s], comp_of[t]) for _, s, t in g.edges}):
+                reach_into[j] |= reach_into[i]
+            by_mask: dict[int, int] = {}
+            for h, b in zip(self.hits, bits):
+                by_mask[h] = by_mask.get(h, 0) | b
+            self._bitsets = reach_into, by_mask, sum(bits[i] for i in self.looped)
+        return self._bitsets
+
+    def reach(self, g: Graph, W: Iterable[str]) -> int:
         """Vertices with a path (length >= 0) into ``W``."""
-        out = 0
+        reach_into, out = self.bitsets(g)[0], 0
         for c in {self.comp_of[v] for v in W}:
-            out |= self.reach_into[c]
+            out |= reach_into[c]
         return out
-
-    def support(self, g: Graph, chosen: int) -> frozenset[str]:
-        """Double annihilator of the union of the minimal sets in the bitset
-        ``chosen``, read off the table of distinct masks.
-
-        Every vertex reaches some minimal set, and each minimal set outside
-        the union lies in its annihilator; so the double annihilator is the
-        set of vertices that reach no minimal set outside the union.  An
-        SCC's vertices reach exactly the minimal sets in its mask, so these
-        are the SCCs whose mask lies inside ``chosen``.
-        """
-        return _members(g, sum(b for h, b in self.by_mask.items() if not h & ~chosen))
 
 
 def _index(g: Graph) -> _Index:
@@ -363,12 +416,20 @@ def equivalence_classes(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _joins(g: Graph, groups: list[tuple[int, ...]]) -> list[frozenset[str]]:
-    """The supports of the 2^n unions of n groups of minimal-set indexes, sorted."""
-    idx = _structure(g)
+    """The supports of the 2^n unions of n groups of minimal-set indexes, sorted.
+
+    The support of a union is its double annihilator.  Every vertex reaches
+    some minimal set, and each minimal set outside the union lies in its
+    annihilator; so the double annihilator is the set of vertices that reach
+    no minimal set outside the union.  An SCC's vertices reach exactly the
+    minimal sets in its mask, so these are the SCCs whose mask lies inside
+    the union, read off the index's table of distinct masks.
+    """
+    by_mask = _structure(g).bitsets(g)[1]
     n = len(groups)
     masks = [sum(1 << i for i in grp) for grp in groups]
     picks = (sum(masks[j] for j in _bit_indexes(pick)) for pick in range(1 << n))
-    members = {idx.support(g, picked) for picked in picks}
+    members = {_members(g, sum(b for h, b in by_mask.items() if not h & ~picked)) for picked in picks}
     if len(members) != 1 << n:
         raise AssertionError(f"the Boolean algebra must have exactly 2^{n} members")
     return sorted(members, key=lambda s: (len(s), sorted(map(g.vertex_index, s))))
@@ -418,11 +479,11 @@ class CenterReport(_Value):
         return " (+) ".join(parts)
 
 
-def _ne_cycle_covering(g: Graph, W: frozenset[str]) -> Cycle | None:
+def _ne_cycle_covering(g: Graph, W: list[str]) -> Cycle | None:
     """The exit-free cycle whose vertex set is ``W``, if one exists.
 
-    ``W`` must be a terminal strongly connected component; then it is covered
-    by a single cycle exactly when every member has out-degree one.
+    ``W`` must list a terminal strongly connected component; then it is
+    covered by a single cycle exactly when every member has out-degree one.
     """
     if any(len(g.out_edges(v)) != 1 for v in W):
         return None
@@ -432,7 +493,7 @@ def _ne_cycle_covering(g: Graph, W: frozenset[str]) -> Cycle | None:
         sources.append(v)
         edges.append(g.out_edges(v)[0])
         v = g.target_of(edges[-1])
-    if v != sources[0] or set(sources) != W:
+    if v != sources[0] or set(sources) != set(W):
         raise AssertionError("terminal component is not covered by its cycle")
     return Cycle(Path(v, tuple(edges), v), tuple(sources))
 

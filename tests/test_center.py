@@ -10,6 +10,7 @@ import pytest
 from leavitt import (
     AlgebraMismatchError,
     Element,
+    Graph,
     InfiniteArrivals,
     LeavittAlgebra,
     Monomial,
@@ -161,8 +162,9 @@ def test_idempotent_takes_no_generic_step(monkeypatch, graphs, corpus):
         return wrapper
 
     monkeypatch.setattr(LeavittAlgebra, "_normal_form", counted("_normal_form", LeavittAlgebra._normal_form))
+    arrivals = counted("_arrivals", leavitt.hereditary._arrivals)
     for module in (leavitt.center, leavitt.hereditary):
-        monkeypatch.setattr(module, "_arrivals", counted("_arrivals", module._arrivals))
+        monkeypatch.setattr(module, "_arrivals", arrivals, raising=False)
     built = 0
     for g in list(graphs.values()) + corpus:
         for field in (Rationals(), PrimeField(2)):
@@ -171,10 +173,10 @@ def test_idempotent_takes_no_generic_step(monkeypatch, graphs, corpus):
                 idempotent(alg, w)
                 built += 1
     assert built > 500 and calls == []
-    # the wrappers do count: center_basis lists arrival paths for a cycle
-    # power, and an element product normal-forms
+    # the wrappers do count: arrival_paths lists arrival paths, and an
+    # element product normal-forms
     alg = LeavittAlgebra(graphs["g3"])
-    center_basis(alg, 3)
+    arrival_paths(graphs["g3"], center_structure(graphs["g3"]).minimal_sets[0])
     alg.edge("a") * alg.edge_star("a")
     assert sorted(set(calls)) == ["_arrivals", "_normal_form"]
 
@@ -863,7 +865,8 @@ def test_oracle_bound_covers_basis_support(graphs, chain_loop):
 
 def test_oracle_bound_searches_once_per_summand(monkeypatch, corpus, chain_loop, fork_loops):
     # the longest arrival into a Laurent cycle is at least as long as any into
-    # its summand's support, so searching both gives the same bound
+    # its summand's support, so searching both gives the same bound; the
+    # index hands down every region, so oracle_bound searches none itself
     searched = []
 
     def counted(g, ws):
@@ -879,7 +882,7 @@ def test_oracle_bound_searches_once_per_summand(monkeypatch, corpus, chain_loop,
                 base = max(base, arrival_paths(g, ws).max_length())
         searched.clear()
         assert oracle_bound(g, 0) == 2 * base + 2, g
-        assert len(searched) == len(summands)
+        assert searched == []
 
 
 def test_oracle_bound_lists_no_arrival_path(monkeypatch):
@@ -894,7 +897,8 @@ def test_oracle_bound_lists_no_arrival_path(monkeypatch):
     def refused(*args):
         raise AssertionError("oracle_bound listed the arrival paths")
 
-    monkeypatch.setattr(leavitt.center, "_arrivals", refused)
+    for module in (leavitt.center, leavitt.hereditary):
+        monkeypatch.setattr(module, "_arrivals", refused, raising=False)
     assert oracle_bound(g, 0) == 244 == 4 * n + 4
 
 
@@ -1065,3 +1069,49 @@ def test_span_helpers_reject_mixed_algebras(g3):
         spans_equal([x, y], [x])
     assert span_dimension([]) == 0
     assert spans_equal([], []) and spans_equal([], [y - y]) and spans_equal([x - x], [])
+
+
+# -- the index hands every region down: no search per summand ----------------
+
+
+def test_center_basis_and_oracle_bound_search_no_arrival_region(monkeypatch, corpus, chain_loop, fork_loops):
+    # each element and bound is first built through the checked search,
+    # then on a fresh copy of the graph with the searches refused
+    expected = []
+    for g in [chain_loop, fork_loops] + corpus:
+        alg = LeavittAlgebra(g)
+        summands = center_structure(g).summands
+        lengths = {s.cycle_length for s in summands if s.is_laurent}
+        degrees = [0] + [sign * k * n for n in lengths for k in (1, 2) for sign in (1, -1)]
+        bases = {d: center_basis(alg, d) for d in degrees}
+        assert [el._terms for el in bases[0].elements] == [idempotent(alg, s.support)._terms for s in summands]
+        expected.append((g, bases, {d: oracle_bound(g, d) for d in degrees}))
+
+    def refused(*args):
+        raise AssertionError("an arrival search ran")
+
+    for module in (leavitt.center, leavitt.hereditary):
+        for name in ("_arrival_region", "_arrivals"):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    for g, bases, bounds in expected:
+        fresh = Graph(g.vertices, g.edges)
+        alg = LeavittAlgebra(fresh)
+        for d, basis in bases.items():
+            got = center_basis(alg, d)
+            assert [el._terms for el in got.elements] == [el._terms for el in basis.elements]
+            assert got.provenance == basis.provenance
+            assert oracle_bound(fresh, d) == bounds[d]
+
+
+def test_center_functions_refuse_a_graph_with_no_vertices():
+    empty = Graph([], [])
+    alg = LeavittAlgebra(empty)
+    for call in (
+        lambda: center_basis(alg, 0),
+        lambda: center_basis(alg, 2),
+        lambda: center_dimension_predicted(empty, 0),
+        lambda: center_dimension_predicted(empty, 2),
+        lambda: oracle_bound(empty, 0),
+    ):
+        with pytest.raises(ValueError, match="^graph has no vertices$"):
+            call()

@@ -460,3 +460,100 @@ def test_parse_and_constructor_match_their_reference_checks():
         assert _outcome(Graph, iter(vertices), (e for e in edges)) == expected
     # the mix reaches every outcome, each many times
     assert min(kinds[k] for k in ("graph", "GraphSyntaxError", "DuplicateIdError", "UnknownVertexError")) > 500, kinds
+
+
+# -- the one-pattern parser against the token rules it replaced --------------
+
+# each case follows three head lines; the expected outcome is the one the
+# token-by-token parser gave, whatever the line ends and in-line whitespace
+_PARITY_HEAD = ["# parity case", "", "vertex a"]
+_PARITY_CASES = {
+    "unknown directive": ([["node", "x"]], ("GraphSyntaxError", "line 4: unknown directive 'node'", 4)),
+    "vertex arity long": ([["vertex", "x", "y"]], ("GraphSyntaxError", "line 4: expected 'vertex <id>'", 4)),
+    "vertex arity short": ([["vertex"]], ("GraphSyntaxError", "line 4: expected 'vertex <id>'", 4)),
+    "edge arity short": (
+        [["edge", "e", "a"]],
+        ("GraphSyntaxError", "line 4: expected 'edge <id> <src-vertex> <dst-vertex>'", 4),
+    ),
+    "edge arity long": (
+        [["edge", "e", "a", "a", "a"]],
+        ("GraphSyntaxError", "line 4: expected 'edge <id> <src-vertex> <dst-vertex>'", 4),
+    ),
+    "bad vertex id": ([["vertex", "1x"]], ("GraphSyntaxError", "line 4: invalid identifier '1x'", 4)),
+    "bad edge id": ([["edge", "1e", "a", "a"]], ("GraphSyntaxError", "line 4: invalid identifier '1e'", 4)),
+    "bad source id": ([["edge", "e", "a-b", "a"]], ("GraphSyntaxError", "line 4: invalid identifier 'a-b'", 4)),
+    "bad target id": ([["edge", "e", "a", "b.c"]], ("GraphSyntaxError", "line 4: invalid identifier 'b.c'", 4)),
+    "duplicate vertex": ([["vertex", "b"], ["vertex", "b"]], ("DuplicateIdError", "line 5: duplicate vertex id 'b'", 5)),
+    "duplicate edge": (
+        [["edge", "e", "a", "a"], ["edge", "e", "a", "a"]],
+        ("DuplicateIdError", "line 5: duplicate edge id 'e'", 5),
+    ),
+    "endpoint declared later": ([["edge", "e", "a", "b"], ["vertex", "b"]], ("graph", ("a", "b"), (("e", "a", "b"),))),
+    "endpoint never declared": (
+        [["edge", "e", "a", "a"], ["edge", "f", "a", "z"]],
+        ("UnknownVertexError", "line 5: unknown vertex 'z'", 5),
+    ),
+}
+# whitespace that str.split splits at but that ends no line of the format
+_IN_LINE_SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028"]
+
+
+def _named_outcome(text):
+    try:
+        g = parse_graph(text)
+    except GraphParseError as exc:
+        return (type(exc).__name__, str(exc), exc.line)
+    return ("graph", g.vertices, g.edges)
+
+
+@pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+def test_parse_errors_match_the_token_rules_for_every_line_end_and_space(case):
+    lines, expected = _PARITY_CASES[case]
+    for nl in ("\n", "\r\n", "\r"):
+        for sp in _IN_LINE_SPACES:
+            for pad in ("", sp):  # the space between tokens, then also around the line
+                text = nl.join(_PARITY_HEAD + [pad + sp.join(tokens) + pad for tokens in lines]) + nl
+                assert _named_outcome(text) == expected, (nl, sp, pad)
+
+
+def test_parse_reads_every_corpus_graph_as_its_constructor_builds_it(corpus):
+    rng = random.Random(3707)
+    for g in corpus:
+        lines = [f"vertex {v}" for v in g.vertices] + [f"edge {e} {s} {t}" for e, s, t in g.edges]
+        for nl in ("\n", "\r\n", "\r"):
+            sp = rng.choice(_IN_LINE_SPACES)
+            text = nl.join(line.replace(" ", sp) for line in lines)
+            parsed = parse_graph(text)
+            assert parsed == Graph(g.vertices, g.edges) == g
+            _assert_consistent(parsed)
+
+
+# -- the canonical specialization is built from the graph's own choices ------
+
+
+def test_canonical_specialization_matches_the_checked_constructor(corpus):
+    for g in corpus:
+        expected = Specialization(g, {v: g.out_edges(v)[0] for v in g.vertices if g.out_edges(v)})
+        got = canonical_specialization(g)
+        assert got == expected and hash(got) == hash(expected)
+        assert got._edge_at == expected._edge_at and got.special_edges == expected.special_edges
+
+
+def test_leavitt_algebra_builds_its_specialization_unchecked(monkeypatch, corpus):
+    from leavitt import LeavittAlgebra
+
+    calls = []
+    checked = Specialization.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        checked(self, *args, **kwargs)
+
+    monkeypatch.setattr(Specialization, "__init__", counted)
+    for g in corpus:
+        LeavittAlgebra(g)
+    assert calls == []
+    # the wrapper does count: the public constructor still runs every check
+    g = corpus[0]
+    Specialization(g, canonical_specialization(g).choices)
+    assert len(calls) == 1

@@ -23,7 +23,7 @@ from leavitt import (
     perp,
 )
 from leavitt.cli import main
-from leavitt.hereditary import _strong_components
+from leavitt.hereditary import _arrival_region, _index, _strong_components
 
 from oracles import (
     brute_arrival_paths,
@@ -365,7 +365,7 @@ def test_strong_components_are_reachability_classes_in_topological_order(corpus)
             frozenset(u for u in g.vertices if (u, v) in pairs and (v, u) in pairs)
             for v in g.vertices
         }
-        assert len(comps) == len(mutual) and set(comps) == mutual
+        assert len(comps) == len(mutual) and {frozenset(S) for S in comps} == mutual
         assert comp_of == {v: i for i, S in enumerate(comps) for v in S}
         for e in g.edge_ids():
             assert comp_of[g.source_of(e)] <= comp_of[g.target_of(e)]
@@ -374,7 +374,7 @@ def test_strong_components_are_reachability_classes_in_topological_order(corpus)
         crossing = {(comp_of[g.source_of(e)], comp_of[g.target_of(e)]) for e in g.edge_ids()}
         loops = {g.source_of(e) for e in g.edge_ids() if g.source_of(e) == g.target_of(e)}
         assert len(succs) == len(comps)
-        for i, S in enumerate(comps):
+        for i, S in enumerate(map(set, comps)):
             for j in range(len(comps)):
                 if j != i:
                     assert (j in succs[i]) == ((i, j) in crossing), (g, i, j)
@@ -384,9 +384,10 @@ def test_strong_components_are_reachability_classes_in_topological_order(corpus)
     n = 3000
     names = [f"c{i}" for i in range(n)]
     ring = Graph(names, [(f"e{i}", names[i], names[(i + 1) % n]) for i in range(n)])
-    assert _strong_components(ring)[0::2] == ([frozenset(names)], [{0}])
+    comps, _, succs = _strong_components(ring)
+    assert [set(S) for S in comps] == [set(names)] and succs == [{0}]
     chain = Graph(names, [(f"e{i}", names[i], names[i + 1]) for i in range(n - 1)])
-    assert _strong_components(chain)[0::2] == ([frozenset((v,)) for v in names], [{i + 1} for i in range(n - 1)] + [set()])
+    assert _strong_components(chain)[0::2] == ([[v] for v in names], [{i + 1} for i in range(n - 1)] + [set()])
 
 
 # -- the classes, supports and Boolean algebras from their definitions -------
@@ -510,3 +511,36 @@ def test_structure_matches_its_definitions_on_large_graphs():
     for _ in range(10):
         g = _shaped_like_structure_large(rng, (5, 12, 3))
         _check_structure(g, _Oracle(g, _walk_reaches(g)), algebras=False)
+
+
+# -- the index's supports and arrival regions are the searched ones ----------
+
+
+def _forward_graph(rng):
+    """A graph of the shape of the ``structure-large`` benchmark workload:
+    150-900 vertices of out-degree 0, 1 or 2, most edges a short jump
+    forward, a few a short step back, so there are many sinks, some cycles
+    and deep arrival regions."""
+    n = rng.randint(150, 900)
+    edges = []
+    for i in range(n):
+        for _ in range(rng.choices((0, 1, 2), weights=(5, 12, 3))[0]):
+            j = min(n - 1, i + rng.randint(1, 12)) if rng.random() < 0.9 else max(0, i - rng.randint(0, 4))
+            edges.append((f"e{len(edges)}", f"v{i}", f"v{j}"))
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
+def test_index_regions_are_the_searched_arrival_regions(corpus):
+    rng = random.Random(4242)
+    laurent = 0
+    for g in corpus + [_forward_graph(rng) for _ in range(50)]:
+        idx = _index(g)
+        for s, (W, below, cycle, above) in zip(idx.summands, idx.arrivals(), strict=True):
+            assert W == list(g.sorted_vertices(s.support)) and cycle == s.cycle
+            assert below == _arrival_region(g, s.support)[1]
+            if s.cycle is None:
+                assert above is None
+            else:
+                assert above == _arrival_region(g, s.cycle.vertex_set)[1]
+                laurent += 1
+    assert laurent > 100, laurent
