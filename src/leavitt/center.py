@@ -12,14 +12,16 @@ subset, checks it and searches its arrival region.
 commutation constraints directly over the monomial basis and is used to
 validate the construction.  It works on plain tuples of names: a candidate
 [p][q] is (u, p's edges, q's edges, r), read sorted off path layers that the
-graph keeps.  The rows are built one edge at a time from two buckets, the
-candidates m by source and under each edge e with m e != 0, each keyed by
-its output (left source, left edges, right source, right edges) and written
-by one-edge rules that emit basic terms only; the edge stars need no rows.
-Most rows force their column to zero and are dropped as the edge is done;
-``_nullspace`` starts from those.  Both sides key each term of an element
-as ``Element`` does, by that flat (left source, left edges, right source,
-right edges) tuple, so neither builds a ``Path`` or a ``Monomial``.
+graph keeps, less those near the cap that an in-edge's one-entry row forces
+to 0 (``_candidates``).  The rows are built one edge at a time from two
+buckets, the candidates m by source and under each edge e with m e != 0,
+each keyed by its output (left source, left edges, right source, right
+edges) and written by one-edge rules that emit basic terms only; the edge
+stars need no rows.  Most rows force their column to zero and are dropped
+as the edge is done; ``_nullspace`` starts from those.  Both sides key each
+term of an element as ``Element`` does, by that flat (left source, left
+edges, right source, right edges) tuple, so neither builds a ``Path`` or a
+``Monomial``.
 """
 
 from __future__ import annotations
@@ -271,20 +273,45 @@ def _path_layers(g: Graph, limit: int) -> list[tuple[list, dict]]:
 def _candidates(algebra: LeavittAlgebra, d: int, max_support: int) -> list[tuple]:
     """The oracle's unknowns, basic monomials [p][q] of degree d and size at
     most max_support whose paths share a source u and range r, in
-    ``monomial_key`` order, each as the flat tuple (u, p's edges, q's edges, r).
+    ``monomial_key`` order, each as the flat tuple (u, p's edges, q's edges, r),
+    less those that a one-entry row of an in-edge of u forces to 0.
     Each layer of p is paired with the grouping of q's layer, so no sort is
     needed.
+
+    The presolve: let m = [p][q] at u have size at least 1 and more than
+    max_support - 2, and let e end at u.  No other candidate has a term at
+    [e p][q] in e's rows: the m e partner [e p][e q] is past the cap, no
+    vertex-relation output starts with e, and [A][@s(e)] e = [e p][@u], with
+    A e = e p, is one only when q is a vertex and p ends with e.  Unless
+    that holds, or p is a vertex, q ends with e and e is special, so that
+    e m is rewritten, e's row at [e p][q] is {m: -1}: m is 0 in every kernel
+    vector and is left out.  At a u with two in-edges one of them is outside
+    both cases, so that size goes whole.  A forced column is never free, so
+    the kernel basis and its order are as with m kept (``_nullspace``).
     """
-    special = algebra.specialization.special_edges
+    g, special = algebra.graph, algebra.specialization.special_edges
     limit = (max_support + abs(d)) // 2
-    layers = _path_layers(algebra.graph, limit)[: limit + 1]
+    layers = _path_layers(g, limit)[: limit + 1]
     candidates: list[tuple] = []
     for lq, (_, by_ends) in enumerate(layers):
         lp = lq + d
         if not (0 <= lp < len(layers) and lp + lq <= max_support):
             continue
+        top = lp + lq and lp + lq + 2 > max_support
         for u, p, r in layers[lp][0]:
-            for q in by_ends.get((u, r), ()):
+            qs = by_ends.get((u, r), ())
+            if top and (into := g._in[u]):
+                if len(into) > 1:
+                    continue
+                e = into[0]
+                if p:  # kept only as the partner of [A][@s(e)] e
+                    if lq or p[-1] != e:
+                        continue
+                elif e in special:  # kept only where e m is rewritten
+                    qs = [q for q in qs if q[-1] == e]
+                else:
+                    continue
+            for q in qs:
                 # not basic: both paths end with the same special edge
                 if not (lp and lq and p[-1] == q[-1] and p[-1] in special):
                     candidates.append((u, p, q, r))
@@ -338,14 +365,16 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     gives none: commuting with the edges implies commuting with the edge
     stars (``Element.is_central`` proves both facts).  So the edge rows
     have the kernel of the full system, and with it its row space, reduced
-    form and basis.  The candidates are bucketed once, by
-    source and under each edge e with m e != 0 (q's first edge, or each
-    out-edge of a vertex q), and ``_generator_rows`` builds the rows one
-    edge at a time.  Each one-entry row forces its column and is dropped;
-    only longer rows are kept for ``_nullspace``.  Rows hold the ints 1 and
-    -1, which ``_row_reduce`` reduces into the field.  A kernel vector's
-    candidate (u, p, q, r) becomes the element term (u, p, u, q), with no
-    ``Path`` or ``Monomial`` built.
+    form and basis.  ``_candidates`` leaves out the monomials near the cap
+    that an in-edge's row holds alone, which changes no basis vector.  The
+    rest are bucketed once, by source and under each edge e with m e != 0
+    (q's first edge, or each out-edge of a vertex q), and
+    ``_generator_rows`` builds the rows one edge at a time.  Each one-entry
+    row forces its column and is dropped; only longer rows are kept for
+    ``_nullspace``.  Rows hold the ints 1 and -1, which ``_row_reduce``
+    reduces into the field.  A kernel vector's candidate (u, p, q, r)
+    becomes the element term (u, p, u, q), with no ``Path`` or
+    ``Monomial`` built.
     """
     g, field = algebra.graph, algebra.field
     outs, special = g._out, algebra.specialization.special_edges

@@ -37,7 +37,7 @@ import leavitt.algebra
 import leavitt.center
 import leavitt.graph
 import leavitt.hereditary
-from leavitt.center import _candidates, _generator_rows, _nullspace, _row_reduce
+from leavitt.center import _candidates, _generator_rows, _nullspace, _path_layers, _row_reduce
 
 from oracles import hereditary_subsets, random_element, random_graph
 
@@ -540,11 +540,68 @@ def _shuffled_multigraph(rng):
     return parse_graph("\n".join(lines))
 
 
+def _unfiltered_candidates(alg, d, cap):
+    """Every basic [p][q] of degree d and size at most cap whose paths share
+    a source u and range r, as (u, p's edges, q's edges, r) in
+    ``monomial_key`` order: the candidates with nothing left out."""
+    special = alg.specialization.special_edges
+    layers = _path_layers(alg.graph, (cap + abs(d)) // 2)
+    full = []
+    for lq in range(len(layers)):
+        lp = lq + d
+        if 0 <= lp < len(layers) and lp + lq <= cap:
+            for u, p, r in layers[lp][0]:
+                for q in layers[lq][1].get((u, r), ()):
+                    if not (lp and lq and p[-1] == q[-1] and p[-1] in special):
+                        full.append((u, p, q, r))
+    return full
+
+
+def _one_entry_columns(alg, cands):
+    """The columns of ``cands`` that some one-entry row of the whole edge
+    system forces, each edge's rows built by ``_generator_rows``."""
+    g, forced = alg.graph, set()
+    for e, s, t in g.edges:
+        others = g.out_edges(s) if alg.specialization.is_special(e) else None
+        here = [i for i, (u, p, q, r) in enumerate(cands) if u == t]
+        meets = [i for i, (u, p, q, r) in enumerate(cands) if q[:1] == (e,) or not q and r == s]
+        for row in _generator_rows(e, s, t, others, cands, here, meets).values():
+            if len(row) == 1:
+                forced.update(row)
+    return forced
+
+
+def test_candidates_leave_out_only_columns_a_one_entry_row_forces(chain_loop, fork_loops, corpus):
+    # the presolve in _candidates may leave out a candidate only where an
+    # in-edge's row of the whole, unfiltered system holds it alone, and must
+    # keep the rest in order.  The caps take in 0, 1, one side a vertex, and
+    # the top size at either parity.  Dropping the rewrite case [@u][q' e]
+    # for e special, whose rows have two entries, must fail here
+    rng = random.Random(19)
+    dropped_total = 0
+    for g in [chain_loop, fork_loops] + corpus + _small_multigraphs(60, 40):
+        for alg in _oracle_settings(g, rng):
+            for d in range(-3, 4):
+                bound = oracle_bound(g, d)
+                for cap in sorted({0, 1, abs(d), bound - 1, bound, bound + 1}):
+                    full, kept = _unfiltered_candidates(alg, d, cap), _candidates(alg, d, cap)
+                    kept_set = set(kept)
+                    assert kept == [m for m in full if m in kept_set], (g, alg, d, cap)
+                    dropped = {i for i, m in enumerate(full) if m not in kept_set}
+                    if dropped:
+                        missed = dropped - _one_entry_columns(alg, full)
+                        assert not missed, (g, alg, d, cap, [full[i] for i in sorted(missed)])
+                    dropped_total += len(dropped)
+    assert dropped_total > 10_000, dropped_total
+
+
 def test_candidates_come_out_in_monomial_key_order(chain_loop, fork_loops, corpus):
     # the layers are built in edge declaration order and never sorted, so the
     # keys must rise strictly; the first graph declares e4 before e1 and
-    # groups no edges by source.  Which monomials are candidates is checked
-    # against the reference oracle above.
+    # groups no edges by source.  The presolve only leaves candidates out,
+    # so the order holds with it.  Which monomials are candidates is checked
+    # against the reference oracle above, and which are left out against
+    # the whole system's one-entry rows.
     out_of_order = parse_graph(
         "vertex a\nvertex b\nvertex c\n"
         "edge e4 b c\nedge e1 c c\nedge e3 a b\nedge e2 c b\nedge e5 b b\nedge e6 c b\n"
@@ -613,6 +670,30 @@ def test_nullspace_presolve_matches_plain_elimination(field):
         got = _nullspace(rows, ncols, field)
         assert got == _plain_nullspace(coerced, ncols, field), (rows, ncols)
         assert repr(got) == repr(_nullspace(coerced, ncols, field)), (rows, ncols)
+
+
+def test_nullspace_presolve_scans_each_row_once_it_is_settled():
+    # a work count, since no basis tells it: each round of forcing scans only
+    # the rows the round before left with two or more live columns.  2,000
+    # one-entry rows and the chain {c0}, {c0, c1}, ..., {c6, c7} take 2,036
+    # scans of a row; rescanning every row each round takes nine times 2,008
+    scans = 0
+
+    class Counted(dict):
+        def __iter__(self):
+            nonlocal scans
+            scans += 1
+            return super().__iter__()
+
+        def items(self):
+            nonlocal scans
+            scans += 1
+            return super().items()
+
+    chain = [Counted({0: 1})] + [Counted({c: 1, c + 1: -1}) for c in range(7)]
+    rows = [Counted({c: 1}) for c in range(8, 2008)] + chain
+    assert _nullspace(rows, 2010, Rationals()) == [{2008: 1}, {2009: 1}]
+    assert scans <= 2 * len(rows), scans
 
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(97)], ids=lambda f: f.name)
@@ -778,20 +859,38 @@ def test_oracle_rows_build_no_named_tuple(monkeypatch, corpus):
     assert built["Monomial"] == 1 and built["Path"] >= 2 and handed
 
 
-def test_oracle_memory_peak_on_the_two_petal_rose():
-    # the rows are built one generator at a time, and a one-entry row is
-    # dropped once it has forced its column, so the whole system is never
-    # held at once.  The tracemalloc peak at d = 0 and cap 14 is 12.2 MB,
-    # against 39.2 MB when every row was held in one dict; the bound is 20 MB
+def _rose_oracle_peak(cap):
+    """The degree-0 oracle on the two-petal rose at ``cap``: its kernel size
+    and its tracemalloc peak."""
     alg = LeavittAlgebra(parse_graph("vertex v\nedge a v v\nedge b v v\n"))
     tracemalloc.start()
     try:
-        kernel = brute_force_center(alg, 0, 14)
+        kernel = brute_force_center(alg, 0, cap)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(kernel) == 1
+    return len(kernel), peak
+
+
+def test_oracle_memory_peak_on_the_two_petal_rose():
+    # the rows are built one generator at a time, and a one-entry row is
+    # dropped once it has forced its column, so the whole system is never
+    # held at once; the top size is never a candidate, since v has two
+    # in-edges.  The tracemalloc peak at d = 0 and cap 14 is about 3 MB;
+    # the 20 MB bound fails an oracle that holds every row in one dict
+    # (39.2 MB)
+    size, peak = _rose_oracle_peak(14)
+    assert size == 1
     assert peak <= 20e6, peak / 1e6
+
+
+def test_oracle_memory_peak_on_the_two_petal_rose_at_cap_18():
+    # the oracle's memory target, 80 MB at cap 18.  The peak is about 50 MB;
+    # keeping the 196,608 top-size candidates of the 262,144, and their
+    # rows, takes it to 202 MB
+    size, peak = _rose_oracle_peak(18)
+    assert size == 1
+    assert peak <= 80e6, peak / 1e6
 
 
 def test_oracle_output_is_central(g3, chain_loop):
