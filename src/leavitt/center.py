@@ -12,16 +12,17 @@ subset, checks it and searches its arrival region.
 commutation constraints directly over the monomial basis and is used to
 validate the construction.  It works on plain tuples of names: a candidate
 [p][q] is (u, p's edges, q's edges, r), read sorted off path layers that the
-graph keeps, less those near the cap that an in-edge's one-entry row forces
-to 0 (``_candidates``).  The rows are built one edge at a time from two
-buckets, the candidates m by source and under each edge e with m e != 0,
-each keyed by its output (left source, left edges, right source, right
-edges) and written by one-edge rules that emit basic terms only; the edge
-stars need no rows.  Most rows force their column to zero and are dropped
-as the edge is done; ``_nullspace`` starts from those.  Both sides key each
-term of an element as ``Element`` does, by that flat (left source, left
-edges, right source, right edges) tuple, so neither builds a ``Path`` or a
-``Monomial``.
+graph keeps, less those that a chain of in-edge rows forces to 0, at every
+size (``_candidates``).  ``verify`` solves all its degrees as one system,
+which is block-diagonal in the degree (``_center_by_degree``).  The rows are
+built one edge at a time from two buckets, the candidates m by source and
+under each edge e with m e != 0, each keyed by its output (left source, left
+edges, right source, right edges) and written by one-edge rules that emit
+basic terms only; the edge stars need no rows.  Most rows force their column
+to zero and are dropped as the edge is done; ``_nullspace`` starts from
+those.  Both sides key each term of an element as ``Element`` does, by that
+flat (left source, left edges, right source, right edges) tuple, so neither
+builds a ``Path`` or a ``Monomial``.
 """
 
 from __future__ import annotations
@@ -245,76 +246,87 @@ def _nullspace(rows: list[dict], ncols: int, field, forced=()) -> list[dict]:
     return list(basis.values())
 
 
-def _path_layers(g: Graph, limit: int) -> list[tuple[list, dict]]:
+def _path_layers(g: Graph, limit: int) -> list[tuple[list, dict, dict]]:
     """The paths of g of lengths 0..limit, one layer per length, each as the
-    list of (source, edges, range) tuples and those edges grouped by
-    (source, range).  Layer 0 holds the vertices and layer 1 the edges, and
-    each later layer extends the one before through the out-edges, all in
-    declaration order, so every layer is in ``Graph.path_key`` order.  The
-    layers are kept on the graph and extended when a larger limit asks for
-    more; after an empty layer there are none.
+    list of (source, edges, range) tuples, those edges grouped by (source,
+    range), and each vertex's deep in-edges there: those whose source ends a
+    path of the layer's length.  Layer 0 holds the vertices and layer 1 the
+    edges, and each later layer extends the one before through the
+    out-edges, all in declaration order, so every layer is in
+    ``Graph.path_key`` order.  The layers are kept on the graph and extended
+    when a larger limit asks for more; after an empty layer there are none.
     """
     layers = g._path_layers
+    src, dst, outs = g._src, g._dst, g._out
     while len(layers) <= limit and (not layers or layers[-1][0]):
         if not layers:
             paths = [(v, (), v) for v in g.vertices]
         elif len(layers) == 1:
             paths = [(s, (e,), t) for e, s, t in g.edges]
         else:
-            dst, outs = g._dst, g._out
             paths = [(s, es + (e,), dst[e]) for s, es, t in layers[-1][0] for e in outs[t]]
         by_ends: dict[tuple[str, str], list] = {}
         for s, es, t in paths:
             by_ends.setdefault((s, t), []).append(es)
-        layers.append((paths, by_ends))
+        ends = {t for _, t in by_ends}
+        deep = {v: tuple(e for e in es if src[e] in ends) for v, es in g._in.items()}
+        layers.append((paths, by_ends, deep))
     return layers
 
 
-def _candidates(algebra: LeavittAlgebra, d: int, max_support: int) -> list[tuple]:
-    """The oracle's unknowns, basic monomials [p][q] of degree d and size at
-    most max_support whose paths share a source u and range r, in
-    ``monomial_key`` order, each as the flat tuple (u, p's edges, q's edges, r),
-    less those that a one-entry row of an in-edge of u forces to 0.
-    Each layer of p is paired with the grouping of q's layer, so no sort is
-    needed.
+def _candidates(algebra: LeavittAlgebra, caps: dict) -> list[tuple]:
+    """The oracle's unknowns at each degree d of ``caps``, in degree blocks in
+    the order of ``caps``: the basic monomials [p][q] of degree d and size
+    at most caps[d] whose paths share a source u and range r, each block in
+    ``monomial_key`` order, each as the flat tuple (u, p's edges, q's edges,
+    r), less those that a chain of in-edge rows forces to 0.  They are read
+    off one ``_path_layers`` call: each layer of p is paired with the
+    grouping of q's layer, so no sort is needed.
 
-    The presolve: let m = [p][q] at u have size at least 1 and more than
-    max_support - 2, and let e end at u.  No other candidate has a term at
-    [e p][q] in e's rows: the m e partner [e p][e q] is past the cap, no
-    vertex-relation output starts with e, and [A][@s(e)] e = [e p][@u], with
-    A e = e p, is one only when q is a vertex and p ends with e.  Unless
-    that holds, or p is a vertex, q ends with e and e is special, so that
-    e m is rewritten, e's row at [e p][q] is {m: -1}: m is 0 in every kernel
-    vector and is left out.  At a u with two in-edges one of them is outside
+    The presolve: let m = [p][q] at u have size n >= 1, let
+    k = (caps[d] - n) // 2, and let e end at u with s(e) the end of some
+    path of length k, a deep in-edge of layer k.  In e's rows only m and its m e
+    partner P = [e p][e q] have a term at [e p][q]: no vertex-relation
+    output starts with e, and [A][@s(e)] e = [e p][@u], with A e = e p, is
+    one only when q is a vertex and p ends with e.  Unless that holds, or p
+    is a vertex, q ends with e and e is special, so that e m is rewritten,
+    m is forced to 0 and left out.  By induction on k: at k = 0, P is past
+    the cap and the row is {m: -1}.  At k >= 1, P has size n + 2, so its k
+    is k - 1, and neither of its sides is a vertex, so neither case holds
+    for it.  The last edge of a path of length k into s(e) is a deep
+    in-edge of s(e) in layer k - 1, so P is left out, hence forced, and e's
+    row forces m.  At a u with two deep in-edges one of them is outside
     both cases, so that size goes whole.  A forced column is never free, so
     the kernel basis and its order are as with m kept (``_nullspace``).
     """
-    g, special = algebra.graph, algebra.specialization.special_edges
-    limit = (max_support + abs(d)) // 2
-    layers = _path_layers(g, limit)[: limit + 1]
+    special = algebra.specialization.special_edges
+    layers = _path_layers(algebra.graph, max((cap + abs(d)) // 2 for d, cap in caps.items()))
+    last = len(layers) - 1
     candidates: list[tuple] = []
-    for lq, (_, by_ends) in enumerate(layers):
-        lp = lq + d
-        if not (0 <= lp < len(layers) and lp + lq <= max_support):
-            continue
-        top = lp + lq and lp + lq + 2 > max_support
-        for u, p, r in layers[lp][0]:
-            qs = by_ends.get((u, r), ())
-            if top and (into := g._in[u]):
-                if len(into) > 1:
-                    continue
-                e = into[0]
-                if p:  # kept only as the partner of [A][@s(e)] e
-                    if lq or p[-1] != e:
+    for d, cap in caps.items():
+        for lq, (_, by_ends, _) in enumerate(layers):
+            lp = lq + d
+            if not (0 <= lp <= last and lp + lq <= cap):
+                continue
+            # an empty layer ends the list, and no path is longer
+            deep = lp + lq and layers[min((cap - lp - lq) // 2, last)][2]
+            for u, p, r in layers[lp][0]:
+                qs = by_ends.get((u, r), ())
+                if deep and (into := deep[u]):
+                    if len(into) > 1:
                         continue
-                elif e in special:  # kept only where e m is rewritten
-                    qs = [q for q in qs if q[-1] == e]
-                else:
-                    continue
-            for q in qs:
-                # not basic: both paths end with the same special edge
-                if not (lp and lq and p[-1] == q[-1] and p[-1] in special):
-                    candidates.append((u, p, q, r))
+                    e = into[0]
+                    if p:  # kept only as the partner of [A][@s(e)] e
+                        if lq or p[-1] != e:
+                            continue
+                    elif e in special:  # kept only where e m is rewritten
+                        qs = [q for q in qs if q[-1] == e]
+                    else:
+                        continue
+                for q in qs:
+                    # not basic: both paths end with the same special edge
+                    if not (lp and lq and p[-1] == q[-1] and p[-1] in special):
+                        candidates.append((u, p, q, r))
     return candidates
 
 
@@ -365,20 +377,33 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
     gives none: commuting with the edges implies commuting with the edge
     stars (``Element.is_central`` proves both facts).  So the edge rows
     have the kernel of the full system, and with it its row space, reduced
-    form and basis.  ``_candidates`` leaves out the monomials near the cap
-    that an in-edge's row holds alone, which changes no basis vector.  The
-    rest are bucketed once, by source and under each edge e with m e != 0
-    (q's first edge, or each out-edge of a vertex q), and
-    ``_generator_rows`` builds the rows one edge at a time.  Each one-entry
-    row forces its column and is dropped; only longer rows are kept for
+    form and basis.  ``_candidates`` leaves out the monomials that a
+    chain of in-edge rows forces, which changes no basis vector.  This is
+    the one-degree call of ``_center_by_degree``.
+    """
+    return _center_by_degree(algebra, {d: max_support})[d]
+
+
+def _center_by_degree(algebra: LeavittAlgebra, caps: dict) -> dict[int, list[Element]]:
+    """``brute_force_center`` at every degree d of ``caps`` with its cap
+    caps[d], as {d: elements}, from one system.
+
+    The candidates come in degree blocks (``_candidates``) and are bucketed
+    once, by source and under each edge e with m e != 0 (q's first edge, or
+    each out-edge of a vertex q); ``_generator_rows`` then builds the rows
+    one edge at a time.  Each output of m e - e m has degree deg(m) + 1, so
+    no row mixes two degrees and the system is block-diagonal: its reduced
+    form is the union of the per-degree ones, and the kernel basis lists
+    each degree's vectors, in order, block after block.  Each one-entry row
+    forces its column and is dropped; only longer rows are kept for
     ``_nullspace``.  Rows hold the ints 1 and -1, which ``_row_reduce``
     reduces into the field.  A kernel vector's candidate (u, p, q, r)
     becomes the element term (u, p, u, q), with no ``Path`` or
-    ``Monomial`` built.
+    ``Monomial`` built, and the vector goes to its terms' degree.
     """
     g, field = algebra.graph, algebra.field
     outs, special = g._out, algebra.specialization.special_edges
-    candidates = _candidates(algebra, d, max_support)
+    candidates = _candidates(algebra, caps)
 
     # candidate indexes by source, and under each edge e with m e != 0
     at, meets = {}, {}
@@ -397,11 +422,13 @@ def brute_force_center(algebra: LeavittAlgebra, d: int, max_support: int) -> lis
                 elif row:
                     kept.append(row)
 
-    elements = []
+    found: dict[int, list[Element]] = {d: [] for d in caps}
     for vec in _nullspace(kept, len(candidates), field, forced):
         picked = ((candidates[i], c) for i, c in vec.items())
-        elements.append(Element(algebra, {(u, p, u, q): c for (u, p, q, r), c in picked}))
-    return elements
+        terms = {(u, p, u, q): c for (u, p, q, r), c in picked}
+        _, p, _, q = next(iter(terms))
+        found[len(p) - len(q)].append(Element(algebra, terms))
+    return found
 
 
 def _reduced_forms(*families) -> list[dict]:

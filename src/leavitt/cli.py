@@ -25,7 +25,7 @@ from .graph import Graph, GraphParseError, parse_graph
 from .hereditary import finitary_boolean_subalgebra, center_structure, perp
 from .algebra import LeavittAlgebra, PrimeField, Rationals
 from .center import (
-    brute_force_center,
+    _center_by_degree,
     center_basis,
     center_dimension_predicted,
     idempotent,
@@ -203,10 +203,13 @@ def _cmd_verify(args, g: Graph) -> tuple[int, dict]:
     algebra = LeavittAlgebra(g, field=args.field)
     # oracle_bound(g, d) is oracle_bound(g, 0) + |d|: search the arrivals once
     base = oracle_bound(g, 0) if args.max_len is None else None
+    degrees = range(-args.max_degree, args.max_degree + 1)
+    bounds = {d: args.max_len if base is None else base + abs(d) for d in degrees}
+    # every degree's oracle in one system, which is block-diagonal in the degree
+    oracle = _center_by_degree(algebra, bounds)
     rows = []
-    for d in range(-args.max_degree, args.max_degree + 1):
-        bound = args.max_len if base is None else base + abs(d)
-        found = brute_force_center(algebra, d, bound)
+    for d, bound in bounds.items():
+        found = oracle[d]
         basis = center_basis(algebra, d)
         predicted = center_dimension_predicted(g, d)
         ok = len(found) == predicted == len(basis.elements) and spans_equal(

@@ -35,9 +35,17 @@ from leavitt import (
 
 import leavitt.algebra
 import leavitt.center
+import leavitt.cli
 import leavitt.graph
 import leavitt.hereditary
-from leavitt.center import _candidates, _generator_rows, _nullspace, _path_layers, _row_reduce
+from leavitt.center import (
+    _candidates,
+    _center_by_degree,
+    _generator_rows,
+    _nullspace,
+    _path_layers,
+    _row_reduce,
+)
 
 from oracles import hereditary_subsets, random_element, random_graph
 
@@ -557,42 +565,65 @@ def _unfiltered_candidates(alg, d, cap):
     return full
 
 
-def _one_entry_columns(alg, cands):
-    """The columns of ``cands`` that some one-entry row of the whole edge
-    system forces, each edge's rows built by ``_generator_rows``."""
-    g, forced = alg.graph, set()
+def _edge_rows(alg, cands):
+    """Every row of the whole edge system on ``cands``, each edge's rows
+    built by ``_generator_rows``."""
+    g, rows = alg.graph, []
     for e, s, t in g.edges:
         others = g.out_edges(s) if alg.specialization.is_special(e) else None
         here = [i for i, (u, p, q, r) in enumerate(cands) if u == t]
         meets = [i for i, (u, p, q, r) in enumerate(cands) if q[:1] == (e,) or not q and r == s]
-        for row in _generator_rows(e, s, t, others, cands, here, meets).values():
-            if len(row) == 1:
-                forced.update(row)
-    return forced
+        rows.extend(_generator_rows(e, s, t, others, cands, here, meets).values())
+    return rows
+
+
+def _presolve_forced(rows):
+    """The columns that the singleton-row presolve forces to 0: those of the
+    one-entry rows, then of the rows left with one entry once the forced
+    columns are dropped, until no new column is forced."""
+    forced = set()
+    while True:
+        newly = set()
+        for row in rows:
+            live = row.keys() - forced
+            if len(live) == 1:
+                newly |= live
+        if not newly:
+            return forced
+        forced |= newly
 
 
 def test_candidates_leave_out_only_columns_a_one_entry_row_forces(chain_loop, fork_loops, corpus):
-    # the presolve in _candidates may leave out a candidate only where an
-    # in-edge's row of the whole, unfiltered system holds it alone, and must
-    # keep the rest in order.  The caps take in 0, 1, one side a vertex, and
-    # the top size at either parity.  Dropping the rewrite case [@u][q' e]
-    # for e special, whose rows have two entries, must fail here
+    # the presolve in _candidates may leave out a candidate only where the
+    # whole, unfiltered system forces it, and must keep the rest in order.
+    # Near the cap, where k = (cap - size) // 2 is 0, an in-edge's row holds
+    # it alone; lower down a chain of in-edge rows forces it, each row left
+    # with one entry once the one past it is forced.  The caps take in 0, 1,
+    # one side a vertex, and every size at either parity.  Dropping the
+    # rewrite case [@u][q' e] for e special, whose rows have two entries,
+    # must fail here, and so must counting every in-edge at every size
     rng = random.Random(19)
-    dropped_total = 0
+    dropped_total = deep_total = 0
     for g in [chain_loop, fork_loops] + corpus + _small_multigraphs(60, 40):
         for alg in _oracle_settings(g, rng):
             for d in range(-3, 4):
                 bound = oracle_bound(g, d)
                 for cap in sorted({0, 1, abs(d), bound - 1, bound, bound + 1}):
-                    full, kept = _unfiltered_candidates(alg, d, cap), _candidates(alg, d, cap)
+                    full, kept = _unfiltered_candidates(alg, d, cap), _candidates(alg, {d: cap})
                     kept_set = set(kept)
                     assert kept == [m for m in full if m in kept_set], (g, alg, d, cap)
                     dropped = {i for i, m in enumerate(full) if m not in kept_set}
-                    if dropped:
-                        missed = dropped - _one_entry_columns(alg, full)
-                        assert not missed, (g, alg, d, cap, [full[i] for i in sorted(missed)])
+                    if not dropped:
+                        continue
+                    rows = _edge_rows(alg, full)
+                    near = {i for i in dropped if (cap - len(full[i][1]) - len(full[i][2])) // 2 == 0}
+                    missed = near - {c for row in rows if len(row) == 1 for c in row}
+                    assert not missed, (g, alg, d, cap, [full[i] for i in sorted(missed)])
+                    missed = dropped - near - _presolve_forced(rows)
+                    assert not missed, (g, alg, d, cap, [full[i] for i in sorted(missed)])
                     dropped_total += len(dropped)
-    assert dropped_total > 10_000, dropped_total
+                    deep_total += len(dropped - near)
+    assert dropped_total > 45_000 and deep_total > 7_000, (dropped_total, deep_total)
 
 
 def test_candidates_come_out_in_monomial_key_order(chain_loop, fork_loops, corpus):
@@ -614,7 +645,7 @@ def test_candidates_come_out_in_monomial_key_order(chain_loop, fork_loops, corpu
             for d in range(-3, 4):
                 for cap in (0, 2, 5):
                     keys = []
-                    for u, p, q, r in _candidates(alg, d, cap):
+                    for u, p, q, r in _candidates(alg, {d: cap}):
                         m = _as_monomial(g, u, p, u, q)
                         assert m.left.target == r, (g, d, cap, str(m), r)
                         keys.append(alg.monomial_key(m))
@@ -774,7 +805,7 @@ def test_oracle_hands_each_generator_the_candidates_it_meets(monkeypatch, chain_
         for alg in _oracle_settings(g, rng):
             for d in (-2, 0, 1):
                 cap = oracle_bound(g, d)
-                cands = _candidates(alg, d, cap)
+                cands = _candidates(alg, {d: cap})
                 expected = []
                 for e, s, t in g.edges:
                     others = g.out_edges(s) if alg.specialization.is_special(e) else None
@@ -820,6 +851,49 @@ def test_oracle_calls_each_edge_once_at_most(monkeypatch, fork_loops):
                     assert len(set(calls)) == len(calls), (g, d, cap, calls)
                     if g is rose and d == 0:
                         assert sorted(calls) == ["a", "b"], (cap, calls)
+
+
+def test_verify_builds_each_edges_rows_once_for_all_degrees(monkeypatch, tmp_path, fork_loops, corpus):
+    # verify solves its nine degrees as one system, so each edge's rows are
+    # built in one _generator_rows call; a solve per degree makes up to nine
+    # per edge.  On the rose every edge meets a candidate at d = 0
+    rose = parse_graph("vertex v\nedge a v v\nedge b v v\n")
+    calls = []
+    original = leavitt.center._generator_rows
+    monkeypatch.setattr(leavitt.center, "_generator_rows", lambda *args: calls.append(args[0]) or original(*args))
+    for i, g in enumerate([rose, fork_loops] + corpus):
+        lines = [f"vertex {v}" for v in g.vertices] + [f"edge {e} {s} {t}" for e, s, t in g.edges]
+        path = tmp_path / f"g{i}.lpa"
+        path.write_text("\n".join(lines) + "\n")
+        calls.clear()
+        assert leavitt.cli.main(["verify", str(path), "--max-degree", "4"]) == 0, g
+        assert len(set(calls)) == len(calls) <= len(g.edges), (g, calls)
+        if g is rose:
+            assert sorted(calls) == ["a", "b"], calls
+
+
+def test_one_system_for_all_degrees_matches_each_degree_alone(chain_loop, fork_loops, corpus):
+    # the system is block-diagonal in the degree, so its kernel basis is each
+    # degree's basis in turn: element for element and in order, at verify's
+    # caps, oracle_bound per degree or one --max-len for all
+    rng = random.Random(23)
+    for g in [chain_loop, fork_loops] + corpus + _small_multigraphs(61, 40):
+        shared = oracle_bound(g, 3)
+        for alg in _oracle_settings(g, rng):
+            for caps in ({d: oracle_bound(g, d) for d in range(-3, 4)}, dict.fromkeys(range(-3, 4), shared)):
+                got = _center_by_degree(alg, caps)
+                assert list(got) == list(caps), (g, alg, caps)
+                for d, cap in caps.items():
+                    alone = brute_force_center(alg, d, cap)
+                    assert got[d] == alone and list(map(str, got[d])) == list(map(str, alone)), (g, alg, d, cap)
+
+
+def test_rose_candidates_at_cap_16_are_its_vertex_alone():
+    # v ends paths of every length and has two in-edges, so a chain of
+    # in-edge rows forces every candidate of size >= 1; the near-cap rule
+    # alone keeps the 16,384 candidates of the sizes below the top
+    rose = LeavittAlgebra(parse_graph("vertex v\nedge a v v\nedge b v v\n"))
+    assert _candidates(rose, {0: 16}) == [("v", (), (), "v")]
 
 
 def test_oracle_rows_build_no_named_tuple(monkeypatch, corpus):
@@ -875,19 +949,19 @@ def _rose_oracle_peak(cap):
 def test_oracle_memory_peak_on_the_two_petal_rose():
     # the rows are built one generator at a time, and a one-entry row is
     # dropped once it has forced its column, so the whole system is never
-    # held at once; the top size is never a candidate, since v has two
-    # in-edges.  The tracemalloc peak at d = 0 and cap 14 is about 3 MB;
-    # the 20 MB bound fails an oracle that holds every row in one dict
-    # (39.2 MB)
+    # held at once; no size above 0 is a candidate, since v has two in-edges
+    # and ends paths of every length.  The tracemalloc peak at d = 0 and
+    # cap 14 is about 0.01 MB (3 MB with the near-cap rule alone); the
+    # 20 MB bound fails an oracle that holds every row in one dict (39.2 MB)
     size, peak = _rose_oracle_peak(14)
     assert size == 1
     assert peak <= 20e6, peak / 1e6
 
 
 def test_oracle_memory_peak_on_the_two_petal_rose_at_cap_18():
-    # the oracle's memory target, 80 MB at cap 18.  The peak is about 50 MB;
-    # keeping the 196,608 top-size candidates of the 262,144, and their
-    # rows, takes it to 202 MB
+    # the oracle's memory target, 80 MB at cap 18.  The peak is about
+    # 0.15 MB, the path layers; keeping the 65,536 candidates below the top
+    # size takes it to 50 MB, and the 196,608 top-size ones as well to 202 MB
     size, peak = _rose_oracle_peak(18)
     assert size == 1
     assert peak <= 80e6, peak / 1e6
