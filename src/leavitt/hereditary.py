@@ -15,8 +15,8 @@ them are finitary are read off those sets: all vertices of an SCC reach
 exactly the same minimal sets.  The same sets give each summand its arrival
 region and, for a Laurent summand, the vertices above its cycle, which the
 index hands to the center module, so that no summand is checked or searched
-again.  Vertex bitsets are built only for the calls that take an arbitrary
-subset.
+again.  A call on an arbitrary subset reads the same condensation: one pass
+over the SCCs, successors first, finds those that reach the subset.
 """
 
 from __future__ import annotations
@@ -79,14 +79,14 @@ class InfiniteArrivals(_Value):
     __slots__ = __match_args__ = ("witness", "connector")
 
 
-def _as_vertex_set(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], int]:
-    """The subset as a frozenset and as an int bitset, bit i for the vertex
-    declared i-th; UnknownVertexError names the first member ``g`` lacks."""
+def _as_vertex_set(g: Graph, ws: Iterable[str]) -> tuple[str, ...]:
+    """The subset's vertices in declaration order.  ``sorted`` reads ``ws``
+    once and looks up each id's index in the caller's order, so
+    UnknownVertexError names the first member ``g`` lacks."""
     if isinstance(ws, str):
         # a string is an iterable of its characters, never a vertex set
         raise TypeError(f"expected a collection of vertex ids, not the string {ws!r}")
-    W = frozenset(ws)
-    return W, sum(1 << g.vertex_index(v) for v in W)
+    return g.sorted_vertices(ws)
 
 
 def is_hereditary(g: Graph, ws: Iterable[str]) -> bool:
@@ -98,16 +98,16 @@ def is_hereditary(g: Graph, ws: Iterable[str]) -> bool:
     return True
 
 
-def _require_hereditary(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], int]:
-    """``_as_vertex_set`` of a subset that no edge leaves; NotHereditaryError
-    names the first leaving edge found."""
-    W, mask = _as_vertex_set(g, ws)
-    for v in W:
-        for e in g.out_edges(v):
-            t = g.target_of(e)
-            if t not in W:
-                raise NotHereditaryError(W, f"not hereditary: edge {e!r} leaves the subset at {v!r} -> {t!r}")
-    return W, mask
+def _require_hereditary(g: Graph, ws: Iterable[str]) -> frozenset[str]:
+    """The subset, which no edge may leave; NotHereditaryError names the
+    first leaving edge, walking the subset in declaration order."""
+    order = _as_vertex_set(g, ws)
+    W, dst = frozenset(order), g._dst
+    for v in order:
+        for e in g._out[v]:
+            if dst[e] not in W:
+                raise NotHereditaryError(W, f"not hereditary: edge {e!r} leaves the subset at {v!r} -> {dst[e]!r}")
+    return W
 
 
 def _bit_indexes(mask: int) -> tuple[int, ...]:
@@ -120,15 +120,11 @@ def _bit_indexes(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _members(g: Graph, mask: int) -> frozenset[str]:
-    """The vertices whose bit is set; ``~mask`` gives the complement."""
-    return frozenset(map(g.vertices.__getitem__, _bit_indexes(mask & (1 << len(g.vertices)) - 1)))
-
-
 def perp(g: Graph, ws: Iterable[str]) -> frozenset[str]:
     """Vertices with no path into the subset (the annihilator complement)."""
-    W, _ = _as_vertex_set(g, ws)
-    return _members(g, ~_index(g).reach(g, W))
+    idx = _index(g)
+    into = set(idx.reaching(_as_vertex_set(g, ws)))
+    return frozenset(v for v, i in idx.comp_of.items() if i not in into)
 
 
 def is_finitary(g: Graph, ws: Iterable[str]) -> bool:
@@ -136,9 +132,11 @@ def is_finitary(g: Graph, ws: Iterable[str]) -> bool:
 
     Equivalent to: no cycle disjoint from the subset reaches it.
     """
-    W, mask = _require_hereditary(g, ws)
-    idx = _index(g)
-    return not idx.reach(g, W) & ~mask & idx.bitsets(g)[2]
+    try:
+        _arrival_region(g, ws)
+    except NotFinitaryError:
+        return False
+    return True
 
 
 def _shortest_path(g: Graph, start: str, goal: Iterable[str]) -> Path:
@@ -165,17 +163,20 @@ def _shortest_path(g: Graph, start: str, goal: Iterable[str]) -> Path:
 
 def _arrival_region(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], list[str]]:
     """The hereditary subset W and the vertices outside it that reach it,
-    successors first; NotFinitaryError when a cycle lies among the latter."""
-    W, mask = _require_hereditary(g, ws)
+    successors first; NotFinitaryError when a cycle lies among the latter.
+
+    W is hereditary, so it is a union of SCCs: those of its vertices.  The
+    SCCs outside it that reach it come in descending order, successors
+    first; when none holds a cycle, each is one vertex, its name.
+    """
+    W = _require_hereditary(g, ws)
     idx = _index(g)
-    outside = idx.reach(g, W) & ~mask
-    looping = outside & idx.bitsets(g)[2]
-    if looping:
+    outside = [i for i in idx.reaching(W) if idx.names[i] not in W]
+    if looping := idx.looped.intersection(outside):
         # shortest cycle through the first-declared cycle vertex outside W
-        v = g.vertices[(looping & -looping).bit_length() - 1]
+        v = next(v for v in g.vertices if idx.comp_of[v] in looping)
         raise NotFinitaryError(W, g.cycle(_shortest_path(g, v, (v,)).edges), _shortest_path(g, v, W))
-    # outside W is acyclic; reverse topological order puts successors first
-    return W, sorted(_members(g, outside), key=idx.comp_of.__getitem__, reverse=True)
+    return W, list(map(idx.names.__getitem__, outside))
 
 
 def _arrival_ends(g: Graph, W: Iterable[str], below: Iterable[str]) -> dict[str, list[tuple[tuple[str, ...], str]]]:
@@ -262,9 +263,9 @@ class _Index:
     """The SCCs of one graph and the facts this module derives from them.
 
     SCC ``i`` is the ``i``-th in Kosaraju's topological order, before every
-    SCC it reaches.  Sets of minimal-set indexes are bitsets, bit j for the
-    j-th minimal set.  One pass in reverse topological order gives each SCC
-    its mask, the minimal sets it reaches: the union of its successors'
+    SCC it reaches.  Sets of minimal-set indexes are int masks, bit j for
+    the j-th minimal set.  One pass in reverse topological order gives each
+    SCC its mask, the minimal sets it reaches: the union of its successors'
     masks.  An SCC's vertices reach exactly the minimal sets in its mask, so
     the classes, their supports and every double annihilator of a union of
     minimal sets are read off the masks, with no further search.
@@ -275,11 +276,10 @@ class _Index:
     Its arrival region holds the SCCs whose mask meets the class and leaves
     it, and the SCCs above a Laurent class's cycle are the others whose mask
     holds its set; ``arrivals`` lists both for every summand in one pass.
-    Vertex bitsets, bit i for the vertex declared i-th, serve the functions
-    that take an arbitrary subset.  The regions, the bitsets and the
-    ``ClassSummand`` values are each built on first use.  The index keeps no
-    reference back to the graph: that would form a cycle that outlives the
-    graph until the garbage collector runs.
+    For an arbitrary subset, ``reaching`` walks the successor sets instead.
+    The regions and the ``ClassSummand`` values are each built on first
+    use.  The index keeps no reference back to the graph: that would form a
+    cycle that outlives the graph until the garbage collector runs.
     """
 
     def __init__(self, g: Graph):
@@ -287,6 +287,7 @@ class _Index:
         self.looped = {i for i, below in enumerate(succs) if i in below}  # the SCCs that hold a cycle
         for i in self.looped:
             succs[i].remove(i)
+        self.succs = succs  # each SCC's successors, itself left out
         # the minimal sets, ordered as their first-declared vertices are
         sinks = [i for _, i in sorted((min(map(g._vindex.__getitem__, comps[i])), i) for i, b in enumerate(succs) if not b)]
         self.minimal = tuple(frozenset(comps[i]) for i in sinks)
@@ -325,7 +326,7 @@ class _Index:
             if not succs[i] and cls[j] == hits[i] and not cycled & hits[i]:
                 self.cycles[where[j]] = _ne_cycle_covering(g, comps[i])
         self.names = [comp[0] for comp in comps]  # the one vertex of each SCC with no cycle
-        self._summands = self._arrivals = self._bitsets = None
+        self._summands = self._arrivals = None
 
     @property
     def summands(self) -> tuple[ClassSummand, ...]:
@@ -359,29 +360,16 @@ class _Index:
             self._arrivals = tuple(zip(self.supports, regions, self.cycles, above))
         return self._arrivals
 
-    def bitsets(self, g: Graph) -> tuple[list[int], dict[int, int], int]:
-        """Vertex bitsets, built on the first call: per SCC the vertices with
-        a path (length >= 0) into it, per mask the vertices of the SCCs with
-        that mask, and the vertices on a cycle."""
-        if self._bitsets is None:
-            comp_of, bits = self.comp_of, [0] * len(self.hits)
-            for k, v in enumerate(g.vertices):
-                bits[comp_of[v]] |= 1 << k
-            reach_into = bits[:]
-            # along the edges between SCCs, each SCC before its successors
-            for i, j in sorted({(comp_of[s], comp_of[t]) for _, s, t in g.edges}):
-                reach_into[j] |= reach_into[i]
-            by_mask: dict[int, int] = {}
-            for h, b in zip(self.hits, bits):
-                by_mask[h] = by_mask.get(h, 0) | b
-            self._bitsets = reach_into, by_mask, sum(bits[i] for i in self.looped)
-        return self._bitsets
-
-    def reach(self, g: Graph, W: Iterable[str]) -> int:
-        """Vertices with a path (length >= 0) into ``W``."""
-        reach_into, out = self.bitsets(g)[0], 0
-        for c in {self.comp_of[v] for v in W}:
-            out |= reach_into[c]
+    def reaching(self, W: Iterable[str]) -> list[int]:
+        """The SCCs with a path (length >= 0) into the vertices ``W``,
+        successors first: one pass down from the last SCC that meets W, as
+        an SCC reaches W when it meets W or a successor reaches it."""
+        hit, succs = {self.comp_of[v] for v in W}, self.succs
+        out = []
+        for i in range(max(hit, default=-1), -1, -1):
+            if i in hit or not hit.isdisjoint(succs[i]):
+                hit.add(i)
+                out.append(i)
         return out
 
 
@@ -422,14 +410,14 @@ def _joins(g: Graph, groups: list[tuple[int, ...]]) -> list[frozenset[str]]:
     some minimal set, and each minimal set outside the union lies in its
     annihilator; so the double annihilator is the set of vertices that reach
     no minimal set outside the union.  An SCC's vertices reach exactly the
-    minimal sets in its mask, so these are the SCCs whose mask lies inside
-    the union, read off the index's table of distinct masks.
+    minimal sets in its mask, so these are the vertices whose SCC's mask,
+    ``hits[comp_of[v]]``, lies inside the union.
     """
-    by_mask = _structure(g).bitsets(g)[1]
+    idx = _structure(g)
     n = len(groups)
     masks = [sum(1 << i for i in grp) for grp in groups]
     picks = (sum(masks[j] for j in _bit_indexes(pick)) for pick in range(1 << n))
-    members = {_members(g, sum(b for h, b in by_mask.items() if not h & ~picked)) for picked in picks}
+    members = {frozenset(v for v, i in idx.comp_of.items() if not idx.hits[i] & ~picked) for picked in picks}
     if len(members) != 1 << n:
         raise AssertionError(f"the Boolean algebra must have exactly 2^{n} members")
     return sorted(members, key=lambda s: (len(s), sorted(map(g.vertex_index, s))))

@@ -1,6 +1,7 @@
 """``tools/code_lines.py`` counts a line as code when it holds a token other
 than a comment, a line break, an indent or a docstring."""
 
+import ast
 import importlib.util
 import pathlib
 
@@ -49,3 +50,29 @@ def test_the_package_totals(capsys):
     assert [line.split()[-1] for line in lines[1:-1]] == files
     rows = [list(map(int, line.split()[:2])) for line in lines[1:-1]]
     assert lines[-1].split()[:2] == [str(sum(r[0] for r in rows)), str(sum(r[1] for r in rows))]
+
+
+def test_every_private_name_is_used():
+    # a helper whose last caller is gone would still be counted as code
+    defined, used = {}, set()
+    for path in sorted(code_lines.PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if name.startswith("_") and not name.startswith("__"):
+                        defined.setdefault(name, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                used.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert len(defined) > 40
+    assert {name: where for name, where in defined.items() if name not in used} == {}

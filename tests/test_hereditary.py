@@ -1,11 +1,15 @@
 import gc
 import json
+import os
+import pathlib
 import random
+import subprocess
 import sys
 import weakref
 
 import pytest
 
+import leavitt
 from leavitt import (
     FiniteArrivals,
     Graph,
@@ -71,6 +75,33 @@ def test_bare_string_is_not_read_as_a_vertex_set(g3):
     for check in (perp, is_hereditary, is_finitary, arrival_paths):
         with pytest.raises(TypeError, match="not the string 'ab'$"):
             check(g, "ab")
+
+
+def test_error_messages_do_not_depend_on_the_hash_seed():
+    # ids are looked up in the caller's order and the subset is walked in
+    # declaration order, so no message names whatever a set iterates first
+    script = """
+from leavitt import arrival_paths, is_finitary, parse_graph, perp
+g = parse_graph("vertex a\\nvertex b\\nvertex c\\nvertex d\\nedge e a d\\nedge f b d\\nedge h c d\\n")
+for check, ws in ((perp, ["x", "y", "z"]), (arrival_paths, ["a", "b", "c"]), (is_finitary, iter("abc"))):
+    try:
+        check(g, ws)
+    except ValueError as exc:
+        print(type(exc).__name__, exc)
+"""
+    src = str(pathlib.Path(leavitt.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            timeout=60,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    leaves = "NotHereditaryError not hereditary: edge 'e' leaves the subset at 'a' -> 'd'\n"
+    assert outs == ["UnknownVertexError unknown vertex 'x'\n" + 2 * leaves] * 2
 
 
 def test_perp_against_closure_oracle():
@@ -420,7 +451,7 @@ class _Oracle:
             {self.below[v] for v in g.vertices if all((u, v) in reach for u in self.below[v])},
             key=lambda w: min(map(g.vertex_index, w)),
         )
-        on_cycle = {g.source_of(e) for e in g.edge_ids() if (g.target_of(e), g.source_of(e)) in reach}
+        self.on_cycle = {g.source_of(e) for e in g.edge_ids() if (g.target_of(e), g.source_of(e)) in reach}
         k = len(self.minimal)
         related = {
             (a, b)
@@ -431,7 +462,7 @@ class _Oracle:
                 v not in self.minimal[a] | self.minimal[b]
                 and not self.below[v].isdisjoint(self.minimal[a])
                 and not self.below[v].isdisjoint(self.minimal[b])
-                for v in on_cycle
+                for v in self.on_cycle
             )
         }
         while True:  # transitive closure
@@ -511,6 +542,28 @@ def test_structure_matches_its_definitions_on_large_graphs():
     for _ in range(10):
         g = _shaped_like_structure_large(rng, (5, 12, 3))
         _check_structure(g, _Oracle(g, _walk_reaches(g)), algebras=False)
+
+
+def test_perp_and_is_finitary_against_the_oracle_on_large_graphs():
+    rng = random.Random(1214)
+    unhereditary = infinite = 0
+    for _ in range(10):
+        g = _shaped_like_structure_large(rng, (5, 12, 3))
+        oracle = _Oracle(g, _walk_reaches(g))
+        for _ in range(20):
+            ws = rng.sample(g.vertices, rng.randint(1, 8))
+            assert perp(g, ws) == oracle.perp(ws)
+            unhereditary += not is_hereditary(g, ws)
+            W = frozenset().union(*(oracle.below[v] for v in ws))  # the least hereditary set holding ws
+            # the cycle vertices outside W that reach it, in declaration order
+            looping = [v for v in g.vertices if v in oracle.on_cycle and v not in W and oracle.below[v] & W]
+            assert is_finitary(g, W) == (not looping)
+            if looping:
+                arr = arrival_paths(g, W)
+                assert looping[0] in arr.witness.vertex_set and arr.witness.vertex_set.isdisjoint(W)
+                assert arr.connector.source == looping[0] and arr.connector.target in W
+                infinite += 1
+    assert unhereditary >= 150 and 20 <= infinite <= 180, (unhereditary, infinite)
 
 
 # -- the index's supports and arrival regions are the searched ones ----------
