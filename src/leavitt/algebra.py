@@ -16,7 +16,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import cmp_to_key
-from itertools import chain, compress, count
+from itertools import compress, count
 from operator import ne
 
 from .graph import _IDENT, Graph, Path, Specialization, _Value, canonical_specialization
@@ -278,26 +278,17 @@ class Element(_Value):
         if isinstance(other, Element):
             self._require_same(other)
             alg = self.algebra
-            # [p1][q1] [p2][q2] is 0 unless q1 and p2 share a source and one continues
-            # the other: index the right factor by p2's source and first edge, if any
-            index: dict[str, dict] = {}
+            # [p1][q1] [p2][q2] is 0 unless q1 and p2 share a source: index the right
+            # factor by p2's source; _monomial_product drops the other zero pairs
+            index: dict[str, list] = {}
             for m2, c2 in other._terms.items():
-                index.setdefault(m2[0], {}).setdefault(m2[1][:1], []).append((m2, c2))
+                index.setdefault(m2[0], []).append((m2, c2))
             raw: dict[tuple, object] = {}
             for m1, c1 in self._terms.items():
-                _, _, w, q = m1
-                starts = index.get(w)
-                if starts is None:
-                    continue
-                if q:
-                    meets = chain(starts.get(q[:1], ()), starts.get((), ()))
-                else:
-                    meets = chain.from_iterable(starts.values())
-                for m2, c2 in meets:
+                for m2, c2 in index.get(m1[2], ()):
                     m = alg._monomial_product(m1, m2)
-                    if m is None:
-                        continue
-                    raw[m] = raw.get(m, 0) + c1 * c2
+                    if m is not None:
+                        raw[m] = raw.get(m, 0) + c1 * c2
             return Element(alg, alg._normal_form(raw))
         try:
             c = self.algebra.field.coerce(other)

@@ -11,18 +11,18 @@ subset, checks it and searches its arrival region.
 ``brute_force_center`` knows none of that theory: it solves the linear
 commutation constraints directly over the monomial basis and is used to
 validate the construction.  It works on plain tuples of names: a candidate
-[p][q] is (u, p's edges, q's edges, r), read sorted off path layers that the
-graph keeps, less those that a chain of in-edge rows forces to 0, at every
-size (``_candidates``).  ``verify`` solves all its degrees as one system,
-which is block-diagonal in the degree (``_center_by_degree``).  The rows are
-built one edge at a time from two buckets, the candidates m by source and
-under each edge e with m e != 0, each keyed by its output (left source, left
-edges, right source, right edges) and written by one-edge rules that emit
-basic terms only; the edge stars need no rows.  Most rows force their column
-to zero and are dropped as the edge is done; ``_nullspace`` starts from
-those.  Both sides key each term of an element as ``Element`` does, by that
-flat (left source, left edges, right source, right edges) tuple, so neither
-builds a ``Path`` or a ``Monomial``.
+[p][q] is (u, p's edges, q's edges, r), read sorted off path layers that
+each call builds, less those that a chain of in-edge rows forces to 0, at
+every size (``_candidates``).  ``verify`` solves all its degrees as one
+system, which is block-diagonal in the degree (``_center_by_degree``).  The
+rows are built one edge at a time from two buckets, the candidates m by
+source and under each edge e with m e != 0, each keyed by its output (left
+source, left edges, right source, right edges) and written by one-edge rules
+that emit basic terms only; the edge stars need no rows.  Most rows force
+their column to zero and are dropped as the edge is done; ``_nullspace``
+starts from those.  Both sides key each term of an element as ``Element``
+does, by that flat (left source, left edges, right source, right edges)
+tuple, so neither builds a ``Path`` or a ``Monomial``.
 """
 
 from __future__ import annotations
@@ -253,10 +253,10 @@ def _path_layers(g: Graph, limit: int) -> list[tuple[list, dict, dict]]:
     path of the layer's length.  Layer 0 holds the vertices and layer 1 the
     edges, and each later layer extends the one before through the
     out-edges, all in declaration order, so every layer is in
-    ``Graph.path_key`` order.  The layers are kept on the graph and extended
-    when a larger limit asks for more; after an empty layer there are none.
+    ``Graph.path_key`` order.  Each call builds its own list, which ends
+    at the first empty layer.
     """
-    layers = g._path_layers
+    layers: list[tuple[list, dict, dict]] = []
     src, dst, outs = g._src, g._dst, g._out
     while len(layers) <= limit and (not layers or layers[-1][0]):
         if not layers:

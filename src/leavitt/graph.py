@@ -199,9 +199,8 @@ class Graph(_Value):
     __match_args__ = ("vertices", "edges")
     # the indexes and adjacency that ``_init`` derives from the fields
     __slots__ = __match_args__ + ("_vindex", "_eindex", "_src", "_dst", "_out", "_in")
-    # the hereditary module's index, set on first use, the center module's path
-    # layers, a list it extends, and weak references
-    __slots__ += ("_scc_index", "_path_layers", "__weakref__")
+    # the hereditary module's index, set on first use, and weak references
+    __slots__ += ("_scc_index", "__weakref__")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
         edges = tuple(map(_edge_triple, edges))
@@ -241,7 +240,6 @@ class Graph(_Value):
         object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
         object.__setattr__(self, "_in", {v: tuple(es) for v, es in inc.items()})
         object.__setattr__(self, "_scc_index", None)
-        object.__setattr__(self, "_path_layers", [])
 
     # -- basic accessors -------------------------------------------------
 

@@ -257,6 +257,52 @@ def test_is_central_forms_two_products_per_edge_and_none_on_mixed_sources(monkey
         assert calls == []
 
 
+def _all_pairs_product(x, y):
+    """x * y with every pair of terms tried and no index."""
+    alg = x.algebra
+    raw = {}
+    for m1, c1 in x._terms.items():
+        for m2, c2 in y._terms.items():
+            m = alg._monomial_product(m1, m2)
+            if m is not None:
+                raw[m] = raw.get(m, 0) + c1 * c2
+    return Element(alg, alg._normal_form(raw))
+
+
+def _ladder(n):
+    """Rails a0..a(n-1) and b0..b(n-1) with rungs a_i -> b_(i+1): n - 1 rungs."""
+    vertices = [f"{r}{i}" for r in "ab" for i in range(n)]
+    edges = [(f"{r}e{i}", f"{r}{i}", f"{r}{i + 1}") for r in "ab" for i in range(n - 1)]
+    return Graph(vertices, edges + [(f"g{i}", f"a{i}", f"b{i + 1}") for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2)], ids=["rat", "fp:2"])
+def test_product_matches_the_all_pairs_reference(corpus, field):
+    fork = Graph(["u"] + [f"w{i}" for i in range(5)], [(f"f{i}", "u", f"w{i}") for i in range(5)])
+    rng = random.Random(4201)
+    seen = Counter()
+    for g in corpus + [_ladder(7), fork]:
+        alg = LeavittAlgebra(g, field=field)
+        ids = g.edge_ids()
+        for _ in range(20):
+            x, y = random_element(rng, alg), random_element(rng, alg)
+            # a term of x whose right path is a vertex, and one of y whose left path is
+            x = x + alg.vertex(rng.choice(g.vertices))
+            y = y + alg.vertex(rng.choice(g.vertices))
+            if ids:
+                x = x + alg.edge(rng.choice(ids))
+                y = y + alg.edge_star(rng.choice(ids))
+            for a, b in ((x, y), (y, x)):
+                assert a * b == _all_pairs_product(a, b), (g, a, b)
+                for m1 in a._terms:
+                    for m2 in b._terms:
+                        if alg._monomial_product(m1, m2) is not None:
+                            seen["q vertex"] += not m1[3]
+                            seen["p2 vertex"] += not m2[1]
+                            seen["both paths"] += bool(m1[3] and m2[1])
+    assert min(seen["q vertex"], seen["p2 vertex"], seen["both paths"]) >= 1000, seen
+
+
 def test_one_is_identity(graphs):
     rng = random.Random(606)
     for g in graphs.values():

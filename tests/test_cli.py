@@ -59,9 +59,9 @@ def run_json(capsys, *argv):
 def test_idempotents_products_grow_with_the_nonzero_ones(tmp_path, capsys, monkeypatch):
     # the law check squares the atom, which on a chain of n vertices has a
     # term per vertex.  A product meets only the right factor's terms whose
-    # left path starts where the left factor's right path does, with its
-    # first edge or as a vertex, so 4x the vertices may cost at most 5x the
-    # monomial products: trying every pair of terms costs 16x
+    # left path starts where the left factor's right path does, one term on
+    # a chain, so 4x the vertices may cost at most 5x the monomial products:
+    # trying every pair of terms costs 16x
     calls = []
     original = LeavittAlgebra._monomial_product
 

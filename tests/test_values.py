@@ -161,7 +161,7 @@ CENTRAL_CASES = [
         ("vertices", "edges"),
         (("v", "w"), (("c", "v", "v"), ("g", "v", "w"))),
         (("v", "w"), (("c", "v", "v"),)),
-        ("_vindex", "_eindex", "_src", "_dst", "_out", "_in", "_scc_index", "_path_layers"),
+        ("_vindex", "_eindex", "_src", "_dst", "_out", "_in", "_scc_index"),
     ),
     (Specialization, ("graph", "choices"), (G, (("v", "c"),)), (G, (("v", "g"),)), ("_edge_at", "special_edges")),
     (LeavittAlgebra, ("graph", "specialization", "field"), (G, SPEC, Rationals()), (G, SPEC, PrimeField(7)), ()),
