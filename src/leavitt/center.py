@@ -4,10 +4,11 @@ The constructive side writes each central idempotent, the sum of [p][p]
 over the arrival paths p into a finitary hereditary subset, straight in
 normal form in one pass over the vertices that reach it, successors first,
 and each graded basis element as the sum of [p rot^k][p] over the arrival
-paths p into an exit-free cycle.  ``center_basis`` and ``oracle_bound``
-take those vertices from the graph's index (``hereditary._Index``), which
-finds every summand's in one pass; only ``idempotent``, which takes any
-subset, checks it and searches its arrival region.
+paths p into an exit-free cycle.  Those vertices come from one search
+back from the subset (``hereditary._below``).  ``center_basis`` and
+``oracle_bound`` search from the class supports and Laurent cycles of the
+graph's index (``hereditary._Index``), which need no check; only
+``idempotent``, which takes any subset, checks it first.
 ``brute_force_center`` knows none of that theory: it solves the linear
 commutation constraints directly over the monomial basis and is used to
 validate the construction.  It works on plain tuples of names: a candidate
@@ -28,7 +29,7 @@ tuple, so neither builds a ``Path`` or a ``Monomial``.
 from __future__ import annotations
 
 from .graph import Graph, _Value
-from .hereditary import _arrival_ends, _arrival_region, _structure
+from .hereditary import _arrival_ends, _arrival_region, _below, _structure
 from .algebra import AlgebraMismatchError, Element, LeavittAlgebra
 
 __all__ = [
@@ -103,25 +104,25 @@ def center_basis(algebra: LeavittAlgebra, d: int) -> CentralBasis:
     computed by the algebra's products, with z the sum of c's rotations,
     starred for d < 0, term for term.  Every term is basic: its left side
     ends with a cycle edge and its right side does not.  The index built c
-    with no exit and hands down each support, its arrival region and the
-    vertices above each cycle, successors first, so nothing is re-checked
-    or searched again, and the arrival paths are listed as edge tuples.
+    with no exit and lists each support, both hereditary and finitary, so
+    neither is checked again: each arrival region is one search back
+    (``_below``), and the arrival paths are listed as edge tuples.
     """
     g, idx = algebra.graph, _structure(algebra.graph)
     elements: list[Element] = []
     provenance: list[str] = []
     if d == 0:
-        for W, below, _, _ in idx.arrivals():
-            elements.append(Element(algebra, _idempotent_terms(algebra, W, below)))
+        for W in idx.supports:
+            elements.append(Element(algebra, _idempotent_terms(algebra, W, _below(g, W))))
             provenance.append("idempotent of {" + ",".join(W) + "}")
         return CentralBasis(0, tuple(elements), tuple(provenance))
     one = algebra.field.one
-    for _, _, c, above in idx.arrivals():
+    for c in idx.cycles:
         if c is None or d % c.length:
             continue
         k = abs(d) // c.length
         rot = {v: (c.edges[i:] + c.edges[:i]) * k for i, v in enumerate(c.sources)}
-        ends = _arrival_ends(g, c.sources, above)
+        ends = _arrival_ends(g, c.sources, _below(g, c.sources))
         lifted = ((u, p, p + rot[r]) for u, paths in ends.items() for p, r in paths)
         elements.append(Element(algebra, {(u, q, u, p) if d > 0 else (u, p, u, q): one for u, p, q in lifted}))
         provenance.append(f"cycle {c} to the power {k}")
@@ -144,19 +145,19 @@ def oracle_bound(graph: Graph, d: int) -> int:
     summand's support or a Laurent cycle's vertex set.  Any arrival path
     into a Laurent support extends, along a shortest path into the cycle,
     to one at least as long into the cycle, so the support needs no search
-    of its own.  The index hands down each support's arrival region and
-    the vertices above each cycle, successors first, so no arrival search
-    runs: one pass over each region finds the longest arrival path from
-    each vertex, with none listed.  The extra slack leaves room for the
-    oracle to notice elements just past the boundary.
+    of its own.  The index lists each support and cycle, neither checked
+    again; one search back from each gives its arrival region, successors
+    first (``_below``), and one pass over that region finds the longest
+    arrival path from each vertex, with none listed.  The extra slack
+    leaves room for the oracle to notice elements just past the boundary.
     """
+    idx, out, dst = _structure(graph), graph._out, graph._dst
     base = 0
-    for W, below, c, above in _structure(graph).arrivals():
-        if c is not None:
-            W, below = c.sources, above
+    for W, c in zip(idx.supports, idx.cycles):
+        W = W if c is None else c.sources
         depth = dict.fromkeys(W, 0)
-        for v in below:
-            depth[v] = 1 + max(depth.get(graph.target_of(f), -1) for f in graph.out_edges(v))
+        for v in _below(graph, W):
+            depth[v] = 1 + max(depth.get(dst[f], -1) for f in out[v])
         base = max(base, *depth.values())
     return 2 * base + abs(d) + 2
 

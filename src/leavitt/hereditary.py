@@ -5,18 +5,18 @@ hereditary sets, cycle equivalence of the minimal sets, the two Boolean
 algebras they generate, and the structure report that predicts the center
 of the associated Leavitt path algebra.
 
-Every one of these is a reachability fact about the strongly connected
+The structure is a reachability fact about the strongly connected
 components (SCCs) of the graph, so each graph computes its SCCs once, on
 first use, and keeps them with the facts derived from them (``_Index``).
 The SCCs and their condensation come from Kosaraju's two sweeps, in
 topological order.  One pass in reverse order then gives each SCC the set
 of minimal sets it reaches, and the classes, their supports and which of
 them are finitary are read off those sets: all vertices of an SCC reach
-exactly the same minimal sets.  The same sets give each summand its arrival
-region and, for a Laurent summand, the vertices above its cycle, which the
-index hands to the center module, so that no summand is checked or searched
-again.  A call on an arbitrary subset reads the same condensation: one pass
-over the SCCs, successors first, finds those that reach the subset.
+exactly the same minimal sets.  The vertices that reach a subset come from
+one search back along the in-edges from it (``_into``), which costs the
+size of what it finds and their in-edges.  ``perp`` is its complement;
+``_below`` sorts the part outside a hereditary subset by SCC, successors
+first, and is the arrival region of every support, cycle and join.
 """
 
 from __future__ import annotations
@@ -120,11 +120,23 @@ def _bit_indexes(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _into(g: Graph, ws: Iterable[str]) -> set[str]:
+    """The vertices with a path (length >= 0) into the vertices ``ws``: one
+    search back along the in-edges, over what it finds and their in-edges."""
+    inc, src = g._in, g._src
+    seen = set(ws)
+    todo = list(seen)
+    for v in todo:  # grows while it is read
+        for e in inc[v]:
+            if (s := src[e]) not in seen:
+                seen.add(s)
+                todo.append(s)
+    return seen
+
+
 def perp(g: Graph, ws: Iterable[str]) -> frozenset[str]:
     """Vertices with no path into the subset (the annihilator complement)."""
-    idx = _index(g)
-    into = set(idx.reaching(_as_vertex_set(g, ws)))
-    return frozenset(v for v, i in idx.comp_of.items() if i not in into)
+    return frozenset(g._vindex.keys() - _into(g, _as_vertex_set(g, ws)))
 
 
 def is_finitary(g: Graph, ws: Iterable[str]) -> bool:
@@ -161,22 +173,29 @@ def _shortest_path(g: Graph, start: str, goal: Iterable[str]) -> Path:
     raise AssertionError(f"{start!r} does not reach the goal")
 
 
-def _arrival_region(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], list[str]]:
-    """The hereditary subset W and the vertices outside it that reach it,
-    successors first; NotFinitaryError when a cycle lies among the latter.
+def _below(g: Graph, W: Iterable[str]) -> list[str]:
+    """The arrival region of the hereditary subset W: the vertices outside
+    it that reach it, successors first; NotFinitaryError when a cycle lies
+    among them.
 
-    W is hereditary, so it is a union of SCCs: those of its vertices.  The
-    SCCs outside it that reach it come in descending order, successors
-    first; when none holds a cycle, each is one vertex, its name.
+    W is a union of SCCs, and so is the region, which is sorted by SCC in
+    descending topological order, successors first.  When no SCC of it
+    holds a cycle each is one vertex, so the order is fixed.
     """
-    W = _require_hereditary(g, ws)
     idx = _index(g)
-    outside = [i for i in idx.reaching(W) if idx.names[i] not in W]
-    if looping := idx.looped.intersection(outside):
+    below = sorted(_into(g, W).difference(W), key=idx.comp_of.__getitem__, reverse=True)
+    if looping := idx.looped.intersection(map(idx.comp_of.__getitem__, below)):
         # shortest cycle through the first-declared cycle vertex outside W
         v = next(v for v in g.vertices if idx.comp_of[v] in looping)
+        W = frozenset(W)
         raise NotFinitaryError(W, g.cycle(_shortest_path(g, v, (v,)).edges), _shortest_path(g, v, W))
-    return W, list(map(idx.names.__getitem__, outside))
+    return below
+
+
+def _arrival_region(g: Graph, ws: Iterable[str]) -> tuple[frozenset[str], list[str]]:
+    """The subset W, checked hereditary, and its arrival region (``_below``)."""
+    W = _require_hereditary(g, ws)
+    return W, _below(g, W)
 
 
 def _arrival_ends(g: Graph, W: Iterable[str], below: Iterable[str]) -> dict[str, list[tuple[tuple[str, ...], str]]]:
@@ -273,21 +292,18 @@ class _Index:
     The minimal sets that one cycle reaches fall into one class, and a
     one-set class is finitary unless a cycle outside its set reaches it.
     The support of a class holds the SCCs whose mask lies inside the class.
-    Its arrival region holds the SCCs whose mask meets the class and leaves
-    it, and the SCCs above a Laurent class's cycle are the others whose mask
-    holds its set; ``arrivals`` lists both for every summand in one pass.
-    For an arbitrary subset, ``reaching`` walks the successor sets instead.
-    The regions and the ``ClassSummand`` values are each built on first
-    use.  The index keeps no reference back to the graph: that would form a
-    cycle that outlives the graph until the garbage collector runs.
+    Arrival regions are searched, not kept (``_below``): the index gives
+    them only each vertex's SCC, to sort by, and the SCCs that hold a
+    cycle.  The ``ClassSummand`` values are built on first use.  The index
+    keeps no reference back to the graph: that would form a cycle that
+    outlives the graph until the garbage collector runs.
     """
 
     def __init__(self, g: Graph):
         comps, self.comp_of, succs = _strong_components(g)
         self.looped = {i for i, below in enumerate(succs) if i in below}  # the SCCs that hold a cycle
         for i in self.looped:
-            succs[i].remove(i)
-        self.succs = succs  # each SCC's successors, itself left out
+            succs[i].remove(i)  # each SCC's successors, itself left out
         # the minimal sets, ordered as their first-declared vertices are
         sinks = [i for _, i in sorted((min(map(g._vindex.__getitem__, comps[i])), i) for i, b in enumerate(succs) if not b)]
         self.minimal = tuple(frozenset(comps[i]) for i in sinks)
@@ -309,15 +325,14 @@ class _Index:
                     cls[j] = h
         masks = list(dict.fromkeys(cls))  # each class once, in the order of its least member
         self.classes = [(c.bit_length() - 1,) if c & c - 1 == 0 else _bit_indexes(c) for c in masks]
-        where = self.where = list(map({c: p for p, c in enumerate(masks)}.__getitem__, cls))  # each set's class
-        home = {}  # per mask, then per SCC, the position of the class whose support holds it, else -1
+        where = list(map({c: p for p, c in enumerate(masks)}.__getitem__, cls))  # each set's class
+        home = {}  # per mask, the position of the class whose support holds its SCCs, else -1
         for h in set(hits):
             j = (h & -h).bit_length() - 1
             home[h] = -1 if h & ~cls[j] else where[j]
-        self.home = list(map(home.__getitem__, hits))
         self.supports = [[] for _ in masks]  # each in declaration order
-        for v, p in zip(g.vertices, map(self.home.__getitem__, map(self.comp_of.__getitem__, g.vertices))):
-            if p >= 0:
+        for v in g.vertices:
+            if (p := home[hits[self.comp_of[v]]]) >= 0:
                 self.supports[p].append(v)
         # a one-set class is Laurent when it is finitary and one cycle covers its set
         self.cycles = [None] * len(self.classes)  # per class, its Laurent cycle or None
@@ -325,8 +340,7 @@ class _Index:
             j = hits[i].bit_length() - 1
             if not succs[i] and cls[j] == hits[i] and not cycled & hits[i]:
                 self.cycles[where[j]] = _ne_cycle_covering(g, comps[i])
-        self.names = [comp[0] for comp in comps]  # the one vertex of each SCC with no cycle
-        self._summands = self._arrivals = None
+        self._summands = None
 
     @property
     def summands(self) -> tuple[ClassSummand, ...]:
@@ -334,43 +348,6 @@ class _Index:
         if self._summands is None:
             self._summands = tuple(map(ClassSummand, self.classes, map(frozenset, self.supports), self.cycles))
         return self._summands
-
-    def arrivals(self) -> tuple[tuple[list[str], list[str], Cycle | None, list[str] | None], ...]:
-        """Per class: its support in declaration order, its arrival region,
-        its Laurent cycle and the vertices outside that cycle that reach it,
-        or twice None.  Both lists run successors first, as
-        ``_arrival_region`` gives them: they are filled in one pass over the
-        SCCs, on the first call, with the lists each mask's SCCs go to."""
-        if self._arrivals is None:
-            regions = [[] for _ in self.cycles]
-            above = [[] if c is not None else None for c in self.cycles]
-            lists: dict[int, list] = {}  # mask -> the lists that take its SCCs
-            for i in range(len(self.home) - 1, -1, -1):
-                p, h = self.home[i], self.hits[i]
-                # an SCC in a support is listed only above a Laurent class's cycle
-                if p >= 0 and (above[p] is None or i in self.looped):
-                    continue
-                if (into := (above[p],) if p >= 0 else lists.get(h)) is None:
-                    qs = {self.where[j] for j in _bit_indexes(h)}
-                    into = lists[h] = [regions[q] for q in qs] + [above[q] for q in qs if above[q] is not None]
-                if i in self.looped:
-                    raise AssertionError("an arrival region holds a cycle")
-                for region in into:
-                    region.append(self.names[i])
-            self._arrivals = tuple(zip(self.supports, regions, self.cycles, above))
-        return self._arrivals
-
-    def reaching(self, W: Iterable[str]) -> list[int]:
-        """The SCCs with a path (length >= 0) into the vertices ``W``,
-        successors first: one pass down from the last SCC that meets W, as
-        an SCC reaches W when it meets W or a successor reaches it."""
-        hit, succs = {self.comp_of[v] for v in W}, self.succs
-        out = []
-        for i in range(max(hit, default=-1), -1, -1):
-            if i in hit or not hit.isdisjoint(succs[i]):
-                hit.add(i)
-                out.append(i)
-        return out
 
 
 def _index(g: Graph) -> _Index:

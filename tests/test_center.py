@@ -1039,7 +1039,8 @@ def test_oracle_bound_covers_basis_support(graphs, chain_loop):
 def test_oracle_bound_searches_once_per_summand(monkeypatch, corpus, chain_loop, fork_loops):
     # the longest arrival into a Laurent cycle is at least as long as any into
     # its summand's support, so searching both gives the same bound; the
-    # index hands down every region, so oracle_bound searches none itself
+    # index's supports and cycles need no check, so the checked search of
+    # arbitrary subsets never runs
     searched = []
 
     def counted(g, ws):
@@ -1244,12 +1245,14 @@ def test_span_helpers_reject_mixed_algebras(g3):
     assert spans_equal([], []) and spans_equal([], [y - y]) and spans_equal([x - x], [])
 
 
-# -- the index hands every region down: no search per summand ----------------
+# -- the index's supports and cycles are searched, never checked again -------
 
 
 def test_center_basis_and_oracle_bound_search_no_arrival_region(monkeypatch, corpus, chain_loop, fork_loops):
-    # each element and bound is first built through the checked search,
-    # then on a fresh copy of the graph with the searches refused
+    # each element and bound is first built with the checks in place, then
+    # on a fresh copy of the graph with the checked search of an arbitrary
+    # subset and the hereditary check refused: the index's supports and
+    # cycles go straight to the unchecked region search
     expected = []
     for g in [chain_loop, fork_loops] + corpus:
         alg = LeavittAlgebra(g)
@@ -1261,10 +1264,10 @@ def test_center_basis_and_oracle_bound_search_no_arrival_region(monkeypatch, cor
         expected.append((g, bases, {d: oracle_bound(g, d) for d in degrees}))
 
     def refused(*args):
-        raise AssertionError("an arrival search ran")
+        raise AssertionError("a support or cycle was checked again")
 
     for module in (leavitt.center, leavitt.hereditary):
-        for name in ("_arrival_region", "_arrivals"):
+        for name in ("_arrival_region", "_arrivals", "_require_hereditary"):
             monkeypatch.setattr(module, name, refused, raising=False)
     for g, bases, bounds in expected:
         fresh = Graph(g.vertices, g.edges)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import os
@@ -27,7 +28,7 @@ from leavitt import (
     perp,
 )
 from leavitt.cli import main
-from leavitt.hereditary import _arrival_region, _index, _strong_components
+from leavitt.hereditary import _arrival_region, _strong_components
 
 from oracles import (
     brute_arrival_paths,
@@ -445,13 +446,20 @@ class _Oracle:
 
     def __init__(self, g, reach):
         self.g = g
-        self.below = {v: frozenset(t for (s, t) in reach if s == v) for v in g.vertices}
+        below = {v: set() for v in g.vertices}  # below[v]: every t with (v, t) in reach
+        for s, t in reach:
+            below[s].add(t)
+        self.below = {v: frozenset(ts) for v, ts in below.items()}
         # a minimal hereditary set is everything below a vertex that all of it reaches back
         self.minimal = sorted(
             {self.below[v] for v in g.vertices if all((u, v) in reach for u in self.below[v])},
             key=lambda w: min(map(g.vertex_index, w)),
         )
         self.on_cycle = {g.source_of(e) for e in g.edge_ids() if (g.target_of(e), g.source_of(e)) in reach}
+
+    @functools.cached_property
+    def classes(self):
+        """The classes, computed on first use: the arrival-region test needs none."""
         k = len(self.minimal)
         related = {
             (a, b)
@@ -470,7 +478,7 @@ class _Oracle:
             if more <= related:
                 break
             related |= more
-        self.classes = sorted({tuple(b for b in range(k) if (a, b) in related) for a in range(k)})
+        return sorted({tuple(b for b in range(k) if (a, b) in related) for a in range(k)})
 
     def perp(self, ws):
         return frozenset(v for v in self.g.vertices if self.below[v].isdisjoint(ws))
@@ -566,7 +574,7 @@ def test_perp_and_is_finitary_against_the_oracle_on_large_graphs():
     assert unhereditary >= 150 and 20 <= infinite <= 180, (unhereditary, infinite)
 
 
-# -- the index's supports and arrival regions are the searched ones ----------
+# -- every arrival region against its definition ----------------------------
 
 
 def _forward_graph(rng):
@@ -583,17 +591,25 @@ def _forward_graph(rng):
     return Graph([f"v{i}" for i in range(n)], edges)
 
 
-def test_index_regions_are_the_searched_arrival_regions(corpus):
+def test_arrival_regions_match_their_definition(corpus):
+    # each class support, each Laurent cycle's vertex set and, on the corpus,
+    # each Boolean join: the region lists once each vertex outside W that
+    # reaches W, and after every edge's target wherever both are listed
     rng = random.Random(4242)
     laurent = 0
-    for g in corpus + [_forward_graph(rng) for _ in range(50)]:
-        idx = _index(g)
-        for s, (W, below, cycle, above) in zip(idx.summands, idx.arrivals(), strict=True):
-            assert W == list(g.sorted_vertices(s.support)) and cycle == s.cycle
-            assert below == _arrival_region(g, s.support)[1]
-            if s.cycle is None:
-                assert above is None
-            else:
-                assert above == _arrival_region(g, s.cycle.vertex_set)[1]
-                laurent += 1
+    for i, g in enumerate(corpus + [_forward_graph(rng) for _ in range(50)]):
+        oracle = _Oracle(g, _walk_reaches(g))
+        summands = center_structure(g).summands
+        subsets = [s.support for s in summands] + [s.cycle.vertex_set for s in summands if s.is_laurent]
+        if i < len(corpus):
+            subsets += finitary_boolean_subalgebra(g)
+        for W in subsets:
+            below = _arrival_region(g, W)[1]
+            assert len(set(below)) == len(below)
+            assert set(below) == {v for v in g.vertices if v not in W and not oracle.below[v].isdisjoint(W)}
+            at = {v: k for k, v in enumerate(below)}
+            for e in g.edge_ids():
+                u, v = g.source_of(e), g.target_of(e)
+                assert not (u in at and v in at) or at[v] < at[u], (W, e)
+        laurent += sum(s.is_laurent for s in summands)
     assert laurent > 100, laurent
